@@ -8,12 +8,10 @@ independent brute force.
 
 from .engine import (
     AvoidanceQuery,
-    ConjectureReport,
     EquivalenceReport,
     Profile,
     SearchCancelled,
     classify,
-    conjecture_suite,
     count_avoiders,
     enumerate_avoiders,
     mahonian_pair_check,

@@ -17,21 +17,14 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import (
-    Perm,
-    all_perms,
-    apply_symmetry,
-    format_perm,
-    format_pattern_set,
-    inflate,
-    perm,
-)
+from .perms import Perm, all_perms, format_pattern_set, perm
 from .polynomials import QPoly, QTPoly
 
 
@@ -166,12 +159,9 @@ def _walk(
     if compiled.impossible_all:
         return
     if n == 0:
-        if first_value == 0:
-            if hist is None:
-                on_leaf([], 0, 0, 0)
-            else:
-                hist[0] += 1
-                majdes[(0, 0)] = majdes.get((0, 0), 0) + 1
+        # only profiles get here: enumerate_avoiders yields () itself
+        hist[0] += 1
+        majdes[(0, 0)] = majdes.get((0, 0), 0) + 1
         return
     if compiled.impossible_pos:
         return
@@ -361,13 +351,12 @@ class Profile:
     majdes_poly: QTPoly
 
 
-def _accumulate(n: int, compiled: _Compiled, first_value: int,
-                should_stop=None) -> tuple[int, list[int], dict[tuple[int, int], int]]:
+def _accumulate(n: int, compiled: _Compiled,
+                first_value: int) -> tuple[list[int], dict[tuple[int, int], int]]:
     inv_hist = [0] * (math.comb(n, 2) + 1)
     majdes: dict[tuple[int, int], int] = {}
-    _walk(n, compiled, should_stop=should_stop, first_value=first_value,
-          sink=(inv_hist, majdes))
-    return sum(inv_hist), inv_hist, majdes
+    _walk(n, compiled, first_value=first_value, sink=(inv_hist, majdes))
+    return inv_hist, majdes
 
 
 def _subtree_job(args):
@@ -378,9 +367,17 @@ def _subtree_job(args):
 def _worker_count() -> int:
     raw = os.environ.get("PATSTAT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
+        workers = 0
+    if workers < 1:
+        warnings.warn(
+            f"PATSTAT_THREADS={raw!r} is not a positive integer; running serially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return 1
+    return workers
 
 
 @lru_cache(maxsize=8192)
@@ -390,24 +387,20 @@ def _profile(n: int, patterns: tuple[Perm, ...]) -> Profile:
     if workers > 1 and n >= 9 and not compiled.impossible_all and not compiled.impossible_pos:
         from concurrent.futures import ProcessPoolExecutor
 
-        count = 0
-        inv_hist = [0] * (math.comb(n, 2) + 1)
-        majdes: dict[tuple[int, int], int] = {}
         jobs = [(n, patterns, first) for first in range(1, n + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            # map preserves job order, so the merge is deterministic
-            for c, hist, md in pool.map(_subtree_job, jobs):
-                count += c
-                for i, x in enumerate(hist):
-                    inv_hist[i] += x
-                for key, x in md.items():
-                    majdes[key] = majdes.get(key, 0) + x
+            parts = list(pool.map(_subtree_job, jobs))
     else:
-        count, inv_hist, majdes = _accumulate(n, compiled, 0)
+        parts = [_accumulate(n, compiled, 0)]
+    # one merge for both paths; the sums do not depend on the order of parts
+    inv_hist = [sum(column) for column in zip(*(hist for hist, _ in parts))]
+    majdes: Counter[tuple[int, int]] = Counter()
+    for _, md in parts:
+        majdes.update(md)
     return Profile(
-        count=count,
+        count=sum(inv_hist),
         inv_poly=QPoly(inv_hist),
-        majdes_poly=QTPoly.from_counts({(q, t): c for (q, t), c in majdes.items()}),
+        majdes_poly=QTPoly.from_counts(majdes),
     )
 
 
@@ -473,14 +466,13 @@ class EquivalenceReport:
         return [[format_pattern_set(s) for s in c] for c in self.classes]
 
 
+_CLASSIFY_STATS = ("inv", "maj", "maj-des")
+
+
 def _signature(n_max: int, patterns: tuple[Perm, ...], stat: str):
-    if stat == "inv":
-        return tuple(stat_poly(n, patterns, "inv") for n in range(n_max + 1))
-    if stat == "maj":
-        return tuple(stat_poly(n, patterns, "maj") for n in range(n_max + 1))
     if stat == "maj-des":
         return tuple(maj_des_poly(n, patterns) for n in range(n_max + 1))
-    raise ValueError(f"unknown statistic {stat!r}")
+    return tuple(stat_poly(n, patterns, stat) for n in range(n_max + 1))
 
 
 def classify(
@@ -498,6 +490,8 @@ def classify(
     only asserted up to n_max, never beyond.  should_stop is polled between
     subsets and raises SearchCancelled.
     """
+    if stat not in _CLASSIFY_STATS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {_CLASSIFY_STATS}")
     if n_max < ground_length:
         raise ValueError("n_max must be at least the pattern length")
     ground = sorted(all_perms(ground_length))
@@ -529,116 +523,3 @@ def mahonian_pair_check(s_query: AvoidanceQuery, t_query: AvoidanceQuery) -> boo
     left = stat_poly(s_query.n, s_query.patterns, "maj")
     right = stat_poly(t_query.n, t_query.patterns, "inv")
     return left == right
-
-
-# ---------------------------------------------------------------------------
-# conjecture re-verification
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    name: str
-    bounds: tuple[tuple[str, int], ...]
-    cases: int
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-CONJECTURE_NAMES = (
-    "trivial-inv-wilf",
-    "inflation-maj",
-    "sporadic-maj",
-    "i321-recursion",
-    "maj-parity",
-)
-
-
-def _inv_symmetry_orbit(p: Perm) -> tuple[Perm, ...]:
-    from .perms import INV_PRESERVING
-
-    return tuple(sorted({apply_symmetry(f, p) for f in INV_PRESERVING}))
-
-
-def conjecture_suite(
-    name: str,
-    n_max: int = 8,
-    pattern_length: int = 4,
-    max_inflation_length: int = 6,
-    parity_lengths: tuple[int, ...] = (1, 3, 7),
-) -> ConjectureReport:
-    """Re-verify one conjecture empirically inside the given bounds.
-
-    Failures are reported verbatim as data, never raised.
-    """
-    failures: list[str] = []
-    cases = 0
-
-    if name == "trivial-inv-wilf":
-        # singleton inversion classes should coincide with orbits under the
-        # inv-preserving symmetries
-        report = classify(pattern_length, 1, "inv", n_max)
-        for cls in report.classes:
-            members = tuple(sorted(s[0] for s in cls))
-            orbit = _inv_symmetry_orbit(members[0])
-            cases += 1
-            if members != orbit:
-                failures.append(
-                    f"class {[format_perm(p) for p in members]} != orbit "
-                    f"{[format_perm(p) for p in orbit]}"
-                )
-        bounds = (("pattern_length", pattern_length), ("n_max", n_max))
-    elif name == "inflation-maj":
-        for total in range(1, max_inflation_length + 1):
-            for m in range(total):
-                k = total - 1 - m
-                comps = (tuple(range(1, m + 1)), (1,), tuple(range(k, 0, -1)))
-                left = inflate((1, 3, 2), comps)
-                right = inflate((2, 3, 1), comps)
-                for n in range(n_max + 1):
-                    cases += 1
-                    if stat_poly(n, (left,), "maj") != stat_poly(n, (right,), "maj"):
-                        failures.append(
-                            f"maj polynomials differ at n={n} for "
-                            f"{format_perm(left)} vs {format_perm(right)} (m={m}, k={k})"
-                        )
-        bounds = (("max_inflation_length", max_inflation_length), ("n_max", n_max))
-    elif name == "sporadic-maj":
-        for triple in (((1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3)),
-                       ((3, 1, 4, 2), (3, 2, 4, 1), (4, 1, 3, 2))):
-            base = triple[0]
-            for other in triple[1:]:
-                for n in range(n_max + 1):
-                    cases += 1
-                    if stat_poly(n, (base,), "maj") != stat_poly(n, (other,), "maj"):
-                        failures.append(
-                            f"maj polynomials differ at n={n} for "
-                            f"{format_perm(base)} vs {format_perm(other)}"
-                        )
-        bounds = (("n_max", n_max),)
-    elif name == "i321-recursion":
-        from .formulas import i321_conjectured
-
-        for n in range(n_max + 1):
-            cases += 1
-            brute = stat_poly(n, ((3, 2, 1),), "inv")
-            if i321_conjectured(n) != brute:
-                failures.append(f"recursion disagrees with brute force at n={n}")
-        bounds = (("n_max", n_max),)
-    elif name == "maj-parity":
-        from .formulas import parity_profile
-
-        for n in parity_lengths:
-            cases += 1
-            prof = parity_profile(stat_poly(n, ((3, 2, 1),), "maj"))
-            if not prof.holds:
-                failures.append(
-                    f"maj parity fails at n={n}: odd exponents {prof.odd_exponents}"
-                )
-        bounds = (("lengths", max(parity_lengths)),)
-    else:
-        raise ValueError(f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}")
-
-    return ConjectureReport(name, bounds, cases, tuple(failures))

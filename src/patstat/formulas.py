@@ -67,18 +67,9 @@ def c_poly(n: int) -> QPoly:
     return ct_poly(n).reverse(n)
 
 
-def i312_recursive(n: int) -> QPoly:
-    """Inversion polynomial over the 312-avoiders, straight from its
-    recursion I_n = sum_{k=0}^{n-1} q^k I_k I_{n-1-k} with I_0 = 1."""
-    if n < 0:
-        raise ValueError("i312_recursive needs n >= 0")
-    table = [QPoly.one()]
-    for m in range(1, n + 1):
-        acc = QPoly.zero()
-        for k in range(m):
-            acc = acc + QPoly.monomial(k) * table[k] * table[m - 1 - k]
-        table.append(acc)
-    return table[n]
+# The inversion polynomial over the 312-avoiders obeys the same recursion,
+# I_n = sum_{k=0}^{n-1} q^k I_k I_{n-1-k} with I_0 = 1, so it is ct_poly itself.
+i312_recursive = ct_poly
 
 
 def i321_conjectured(n: int) -> QPoly:

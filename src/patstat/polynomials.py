@@ -23,6 +23,20 @@ def _checked(c: int) -> int:
     return c
 
 
+def _power(base, e: int, one):
+    """base**e by repeated squaring, with one as the empty product."""
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 def _term_str(coeff: int, vars_part: str) -> str:
     if not vars_part:
         return str(coeff)
@@ -92,7 +106,7 @@ class QPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = _checked(out[i] + c)
+            out[i] += c
         return QPoly(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
@@ -114,20 +128,10 @@ class QPoly:
         return QPoly(out)
 
     def __rmul__(self, scalar: int) -> "QPoly":
-        return QPoly(tuple(_checked(scalar * c) for c in self.coeffs))
+        return QPoly(tuple(scalar * c for c in self.coeffs))
 
     def __pow__(self, exponent: int) -> "QPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = QPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return _power(self, exponent, QPoly.one())
 
     def reverse(self, n: int) -> "QPoly":
         """q^C(n,2) * p(1/q): coefficient of q^i moves to q^(C(n,2)-i)."""
@@ -225,9 +229,6 @@ class QTPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(qe, te): c for qe, te, c in self.terms}
-
     def __add__(self, other: "QTPoly") -> "QTPoly":
         return QTPoly(self.terms + other.terms)
 
@@ -246,12 +247,7 @@ class QTPoly:
         return QTPoly(tuple((qe, te, scalar * c) for qe, te, c in self.terms))
 
     def __pow__(self, exponent: int) -> "QTPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = QTPoly.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return _power(self, exponent, QTPoly.one())
 
     def substitute_t_scale(self, j: int) -> "QTPoly":
         """The substitution t -> q^j t, sending q^a t^b to q^(a+jb) t^b."""
@@ -318,12 +314,6 @@ class TruncatedSeries:
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries(order, (QTPoly.one(),))
 
-    @staticmethod
-    def from_term(order: int, x_exp: int, coeff: QTPoly) -> "TruncatedSeries":
-        if x_exp > order:
-            return TruncatedSeries(order, ())
-        return TruncatedSeries(order, (QTPoly.zero(),) * x_exp + (coeff,))
-
     def __getitem__(self, x_exp: int) -> QTPoly:
         return self.coeffs[x_exp]
 
@@ -349,12 +339,7 @@ class TruncatedSeries:
         return TruncatedSeries(n, tuple(out))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = TruncatedSeries.one(self.order)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return _power(self, exponent, TruncatedSeries.one(self.order))
 
     def scale(self, c: QTPoly) -> "TruncatedSeries":
         return TruncatedSeries(self.order, tuple(c * a for a in self.coeffs))

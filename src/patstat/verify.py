@@ -309,8 +309,6 @@ def check_q_catalan(nmax: int = 12) -> CheckResult:
     for n in range(nmax + 1):
         cases += 1
         ct = formulas.ct_poly(n)
-        if formulas.i312_recursive(n) != ct:
-            failures.append(f"the two recursions disagree at n={n}")
         if ct != engine.stat_poly(n, ((3, 1, 2),), "inv"):
             failures.append(f"reversed q-Catalan != enumeration at n={n}")
         if formulas.c_poly(n) != ct.reverse(n):
@@ -517,6 +515,97 @@ def check_bijection_suite(nmax: int = 8, partition_nmax: int = 9) -> CheckResult
 
 
 # ---------------------------------------------------------------------------
+# conjecture re-verification
+
+
+CONJECTURE_NAMES = (
+    "trivial-inv-wilf",
+    "inflation-maj",
+    "sporadic-maj",
+    "i321-recursion",
+    "maj-parity",
+)
+
+
+def _inv_symmetry_orbit(p: perms.Perm) -> tuple[perms.Perm, ...]:
+    return tuple(sorted({perms.apply_symmetry(f, p) for f in perms.INV_PRESERVING}))
+
+
+def conjecture_suite(
+    name: str,
+    n_max: int = 8,
+    pattern_length: int = 4,
+    max_inflation_length: int = 6,
+    parity_lengths: tuple[int, ...] = (1, 3, 7),
+) -> CheckResult:
+    """Re-verify one conjecture empirically inside the given bounds.
+
+    Failures are reported verbatim as data, never raised.
+    """
+    failures: list[str] = []
+    cases = 0
+
+    if name == "trivial-inv-wilf":
+        # singleton inversion classes should coincide with orbits under the
+        # inv-preserving symmetries
+        report = engine.classify(pattern_length, 1, "inv", n_max)
+        for cls in report.classes:
+            members = tuple(sorted(s[0] for s in cls))
+            orbit = _inv_symmetry_orbit(members[0])
+            cases += 1
+            if members != orbit:
+                failures.append(
+                    f"class {[perms.format_perm(p) for p in members]} != orbit "
+                    f"{[perms.format_perm(p) for p in orbit]}"
+                )
+    elif name == "inflation-maj":
+        for total in range(1, max_inflation_length + 1):
+            for m in range(total):
+                k = total - 1 - m
+                comps = (tuple(range(1, m + 1)), (1,), tuple(range(k, 0, -1)))
+                left = perms.inflate((1, 3, 2), comps)
+                right = perms.inflate((2, 3, 1), comps)
+                for n in range(n_max + 1):
+                    cases += 1
+                    if engine.stat_poly(n, (left,), "maj") != engine.stat_poly(n, (right,), "maj"):
+                        failures.append(
+                            f"maj polynomials differ at n={n} for "
+                            f"{perms.format_perm(left)} vs {perms.format_perm(right)} "
+                            f"(m={m}, k={k})"
+                        )
+    elif name == "sporadic-maj":
+        for triple in (((1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3)),
+                       ((3, 1, 4, 2), (3, 2, 4, 1), (4, 1, 3, 2))):
+            base = triple[0]
+            for other in triple[1:]:
+                for n in range(n_max + 1):
+                    cases += 1
+                    if engine.stat_poly(n, (base,), "maj") != engine.stat_poly(n, (other,), "maj"):
+                        failures.append(
+                            f"maj polynomials differ at n={n} for "
+                            f"{perms.format_perm(base)} vs {perms.format_perm(other)}"
+                        )
+    elif name == "i321-recursion":
+        for n in range(n_max + 1):
+            cases += 1
+            brute = engine.stat_poly(n, ((3, 2, 1),), "inv")
+            if formulas.i321_conjectured(n) != brute:
+                failures.append(f"recursion disagrees with brute force at n={n}")
+    elif name == "maj-parity":
+        for n in parity_lengths:
+            cases += 1
+            prof = formulas.parity_profile(engine.stat_poly(n, ((3, 2, 1),), "maj"))
+            if not prof.holds:
+                failures.append(
+                    f"maj parity fails at n={n}: odd exponents {prof.odd_exponents}"
+                )
+    else:
+        raise ValueError(f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}")
+
+    return _result(name, cases, failures)
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -552,8 +641,4 @@ def run_paper_suite(nmax: int = 8) -> list[CheckResult]:
 
 
 def run_conjecture_suite(nmax: int = 8) -> list[CheckResult]:
-    out = []
-    for name in engine.CONJECTURE_NAMES:
-        report = engine.conjecture_suite(name, n_max=min(nmax, 8))
-        out.append(CheckResult(name, report.passed, report.cases, report.failures))
-    return out
+    return [conjecture_suite(name, n_max=min(nmax, 8)) for name in CONJECTURE_NAMES]

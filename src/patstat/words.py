@@ -298,13 +298,17 @@ def from_word_231_321(w: Word) -> Perm:
     return tuple(out)
 
 
+def _zero_right_left_minima(p: Perm) -> Word:
+    minima = set(right_left_minima(p))
+    return tuple(0 if i in minima else 1 for i in range(1, len(p) + 1))
+
+
 def to_word_312_321(p: Perm) -> Word:
     """Zero out the right-left minima; ends with 0 when nonempty and
     preserves the descent set on the avoiders of 312 and 321."""
     if not avoids_all(p, ((3, 1, 2), (3, 2, 1))):
         raise ValueError(f"{p} contains 312 or 321")
-    minima = set(right_left_minima(p))
-    return tuple(0 if i in minima else 1 for i in range(1, len(p) + 1))
+    return _zero_right_left_minima(p)
 
 
 def from_word_312_321(w: Word) -> Perm:
@@ -330,8 +334,7 @@ def to_word_231_312_321(p: Perm) -> Word:
     231, 312 and 321."""
     if not avoids_all(p, ((2, 3, 1), (3, 1, 2), (3, 2, 1))):
         raise ValueError(f"{p} contains 231, 312 or 321")
-    minima = set(right_left_minima(p))
-    return tuple(0 if i in minima else 1 for i in range(1, len(p) + 1))
+    return _zero_right_left_minima(p)
 
 
 def from_word_231_312_321(w: Word) -> Perm:

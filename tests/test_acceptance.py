@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from patstat import engine, formulas, perms, words
+from patstat import engine, formulas, perms, verify, words
 from patstat.engine import AvoidanceQuery
 from patstat.polynomials import QPoly, QTPoly
 
@@ -312,10 +312,10 @@ def test_criterion_11_bijection_suite():
 
 
 def test_criterion_12_conjectures():
-    trivial = engine.conjecture_suite("trivial-inv-wilf", n_max=8, pattern_length=4)
+    trivial = verify.conjecture_suite("trivial-inv-wilf", n_max=8, pattern_length=4)
     assert trivial.passed, trivial.failures
-    inflation = engine.conjecture_suite("inflation-maj", n_max=8, max_inflation_length=6)
+    inflation = verify.conjecture_suite("inflation-maj", n_max=8, max_inflation_length=6)
     assert inflation.passed, inflation.failures
-    sporadic = engine.conjecture_suite("sporadic-maj", n_max=8)
+    sporadic = verify.conjecture_suite("sporadic-maj", n_max=8)
     assert sporadic.passed, sporadic.failures
     _report(12, "all conjecture re-verifications pass at their stated bounds")

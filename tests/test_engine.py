@@ -1,13 +1,12 @@
 import itertools
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
 from conftest import brute_avoiders, des_brute, inv_brute, maj_brute
-from patstat import engine, perms
+from patstat import engine, perms, verify
 from patstat.engine import AvoidanceQuery, SearchCancelled
 from patstat.polynomials import QPoly, QTPoly
 
@@ -147,6 +146,14 @@ def test_classify_guards():
         engine.classify(4, 3, "inv", 4, max_subsets=10)
 
 
+def test_classify_rejects_unknown_stat():
+    with pytest.raises(ValueError, match="maj-des"):
+        engine.classify(3, 1, "des", 5)
+    # a subset size with no subsets still validates the statistic
+    with pytest.raises(ValueError, match="maj-des"):
+        engine.classify(3, 7, "des", 5)
+
+
 def test_classify_maj_des_variant():
     # bivariate classification refines the univariate one
     uni = engine.classify(3, 1, "maj", 6)
@@ -171,18 +178,18 @@ def test_mahonian_pair_checks():
 def test_conjecture_suite_smoke():
     # S_3 singletons separate already at small n; the S_4 run at its
     # documented bound n_max=8 lives in the acceptance suite
-    rep = engine.conjecture_suite("trivial-inv-wilf", n_max=5, pattern_length=3)
+    rep = verify.conjecture_suite("trivial-inv-wilf", n_max=5, pattern_length=3)
     assert rep.passed and rep.cases > 0
-    rep = engine.conjecture_suite("inflation-maj", n_max=5, max_inflation_length=4)
+    rep = verify.conjecture_suite("inflation-maj", n_max=5, max_inflation_length=4)
     assert rep.passed
-    rep = engine.conjecture_suite("sporadic-maj", n_max=6)
+    rep = verify.conjecture_suite("sporadic-maj", n_max=6)
     assert rep.passed
-    rep = engine.conjecture_suite("i321-recursion", n_max=7)
+    rep = verify.conjecture_suite("i321-recursion", n_max=7)
     assert rep.passed
-    rep = engine.conjecture_suite("maj-parity", parity_lengths=(1, 3))
+    rep = verify.conjecture_suite("maj-parity", parity_lengths=(1, 3))
     assert rep.passed
     with pytest.raises(ValueError):
-        engine.conjecture_suite("gondola")
+        verify.conjecture_suite("gondola")
 
 
 def test_cancellation():
@@ -198,15 +205,36 @@ def test_cancellation():
     assert calls[0] >= 1
 
 
-def test_worker_split_matches_serial():
-    pats = ((3, 2, 1),)
+@pytest.mark.parametrize(
+    "pats", [((3, 2, 1),), ((1, 2, 3, 4), (3, 1, 2))], ids=["321", "1234-312"]
+)
+def test_worker_split_matches_serial(pats, monkeypatch):
+    # the second set puts the long-pattern matcher under the worker merge
+    monkeypatch.delenv("PATSTAT_THREADS", raising=False)
     serial = engine._profile.__wrapped__(9, pats)
-    os.environ["PATSTAT_THREADS"] = "2"
-    try:
-        parallel = engine._profile.__wrapped__(9, pats)
-    finally:
-        del os.environ["PATSTAT_THREADS"]
+    monkeypatch.setenv("PATSTAT_THREADS", "2")
+    parallel = engine._profile.__wrapped__(9, pats)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
+def test_bad_thread_count_warns_and_runs_serially(raw, monkeypatch):
+    pats = ((3, 2, 1),)
+    monkeypatch.delenv("PATSTAT_THREADS", raising=False)
+    serial = engine._profile.__wrapped__(9, pats)
+    monkeypatch.setenv("PATSTAT_THREADS", raw)
+    with pytest.warns(RuntimeWarning, match="PATSTAT_THREADS=" + repr(raw)) as record:
+        got = engine._profile.__wrapped__(9, pats)
+    assert len(record) == 1
+    assert got == serial
+
+
+def test_import_does_not_load_verify():
+    code = ("import sys, patstat; patstat.count_avoiders(0, []); "
+            "print('patstat.verify' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_negative_length_rejected():

@@ -44,6 +44,20 @@ def test_qpoly_pow_and_scalar():
         p ** (-1)
 
 
+@pytest.mark.parametrize("value, one", [
+    (QTPoly(((0, 0, 1), (1, 1, -2), (3, 0, 1))), QTPoly.one()),
+    (TruncatedSeries(5, (QTPoly.one(), QTPoly.monomial(1, 1), QTPoly.monomial(0, 2, -1))),
+     TruncatedSeries.one(5)),
+], ids=["qtpoly", "series"])
+def test_pow_matches_repeated_product(value, one):
+    product = one
+    for e in range(7):
+        assert value**e == product, e
+        product = product * value
+    with pytest.raises(ValueError):
+        value ** (-1)
+
+
 def test_overflow_detected_not_wrapped():
     big = QPoly((2**62,))
     with pytest.raises(OverflowError):
