@@ -3,14 +3,15 @@ generating polynomials.
 
 Values are placed left to right; a placement is rejected exactly when it
 completes a pattern copy whose final element is the new entry, so a prefix
-that already contains a copy is never explored.  For each length-3 pattern
-the set of values that would complete a copy is maintained incrementally as
-a bitmask, making the per-node cost O(1) per pattern; longer patterns fall
-back to an anchored depth-first matcher.  Because all of these forbidden
-sets only grow as the prefix grows, a subtree dies the moment any unused
-value becomes forbidden, which prunes the search far below the naive
-valid-prefix tree.  Output order is lexicographic in one-line notation and
-is part of the contract.
+that already contains a copy is never explored.  The search carries one
+bitmask of forbidden values: the values that would complete a copy of some
+pattern after the current prefix.  Placing a value extends it, by an O(1)
+rule for each pattern of length 2 or 3 and, for longer patterns, by the
+value intervals that complete each copy of the pattern minus its last entry
+ending at the new value.  Because the mask only grows as the prefix grows, a
+subtree dies the moment any unused value becomes forbidden, which prunes the
+search far below the naive valid-prefix tree.  Output order is
+lexicographic in one-line notation and is part of the contract.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
 # ---------------------------------------------------------------------------
 # pattern compilation
 
-# Length-3 patterns with an O(1) incremental completion test.  For each the
-# automaton tracks a threshold or a forbidden-interval mask; see _walk.
-_AUTOMATON_PATTERNS = {
+# Length-2/3 patterns with an O(1) rule that extends the forbidden mask when a
+# value is placed; see _walk.
+_SHORT_PATTERNS = {
+    (1, 2): "f12",
+    (2, 1): "f21",
     (1, 2, 3): "f123",
     (3, 2, 1): "f321",
     (2, 1, 3): "f213",
@@ -80,58 +83,60 @@ def _compile(patterns: tuple[Perm, ...]) -> _Compiled:
             impossible_all = True
         elif len(p) == 1:
             impossible_pos = True
-        elif p == (1, 2):
-            flags.add("f12")
-        elif p == (2, 1):
-            flags.add("f21")
-        elif len(p) == 3:
-            flags.add(_AUTOMATON_PATTERNS[p])
+        elif p in _SHORT_PATTERNS:
+            flags.add(_SHORT_PATTERNS[p])
         else:
             longs.append(p)
     return _Compiled(impossible_all, impossible_pos, frozenset(flags), tuple(longs))
 
 
 def _prepare_long(pat: Perm):
-    """Precompute order relations for the anchored matcher."""
-    k = len(pat)
-    last = pat[-1]
-    below_last = tuple(pat[j] < last for j in range(k - 1))
-    rel = tuple(tuple(pat[t] < pat[j] for t in range(j)) for j in range(k - 1))
-    return k - 1, below_last, rel
+    """Precompute order relations of the head pat[:-1] for _completion_mask."""
+    k1 = len(pat) - 1
+    head, last = pat[:-1], pat[-1]
+    rel = tuple(tuple(head[t] < head[j] for t in range(j)) for j in range(k1))
+    # slots of the head values just below and just above last; the slots
+    # k1 and k1 + 1 hold the sentinels 0 and n + 1
+    lo = head.index(last - 1) if last > 1 else k1
+    hi = head.index(last + 1) if last <= k1 else k1 + 1
+    return k1, rel, lo, hi
 
 
-def _completes_copy(prefix: list[int], m: int, v: int, prepared) -> bool:
-    """True if appending value v after prefix[:m] finishes a pattern copy."""
-    k1, below_last, rel = prepared
-    if k1 == 0:
-        return True
-    if m < k1:
-        return False
-    chosen: list[int] = []
+def _completion_mask(prefix: list[int], m: int, prepared, above, below) -> int:
+    """Values that complete a pattern copy whose head copy ends at prefix[m].
 
-    def go(start: int) -> bool:
-        j = len(chosen)
-        if j == k1:
-            return True
+    Each copy of pat[:-1] ending at the new entry contributes the open
+    value interval between its values nearest below and above pat[-1].
+    """
+    k1, rel, lo, hi = prepared
+    if m < k1 - 1:
+        return 0
+    v = prefix[m]
+    anchor = rel[k1 - 1]
+    chosen = [0] * k1 + [0, len(above) - 1]
+    chosen[k1 - 1] = v
+    mask = 0
+
+    def go(j: int, start: int) -> None:
+        nonlocal mask
+        if j == k1 - 1:
+            mask |= above[chosen[lo]] & below[chosen[hi]]
+            return
         relj = rel[j]
-        wantv = below_last[j]
-        for i in range(start, m - (k1 - 1 - j)):
+        wantv = anchor[j]
+        for i in range(start, m - (k1 - 2 - j)):
             x = prefix[i]
             if (x < v) != wantv:
                 continue
-            ok = True
             for t in range(j):
                 if (chosen[t] < x) != relj[t]:
-                    ok = False
                     break
-            if ok:
-                chosen.append(x)
-                if go(i + 1):
-                    return True
-                chosen.pop()
-        return False
+            else:
+                chosen[j] = x
+                go(j + 1, i + 1)
 
-    return go(0)
+    go(0, 0)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +192,8 @@ def _walk(
     ticker = [0]
     last = n - 1
 
-    def rec(
-        depth: int,
-        used: int,
-        min_b: int,
-        max_b: int,
-        mu: int,
-        nu: int,
-        tau: int,
-        alpha: int,
-        m132: int,
-        m312: int,
-        prev: int,
-        inv_acc: int,
-        maj_acc: int,
-        des_acc: int,
-    ) -> None:
+    def rec(depth: int, used: int, forbid: int, min_b: int, max_b: int,
+            prev: int, inv_acc: int, maj_acc: int, des_acc: int) -> None:
         if should_stop is not None:
             ticker[0] += 1
             if ticker[0] >= _STOP_CHECK_INTERVAL:
@@ -210,33 +201,12 @@ def _walk(
                 if should_stop():
                     raise SearchCancelled("enumeration stopped")
         free = full & ~used
-        allowed = free & ~m132 & ~m312
-        if f123:
-            allowed &= ~above[mu]
-        if f321:
-            allowed &= ~below[nu]
-        if f213:
-            allowed &= ~above[tau]
-        if f231:
-            allowed &= ~below[alpha]
-        if f12:
-            allowed &= ~above[min_b]
-        if f21:
-            allowed &= ~below[max_b]
-        # every forbidden set only grows along a path, so a value that is
-        # unplaceable now stays unplaceable forever: one stranded value
-        # kills the whole subtree, not just its own branch
-        if allowed != free:
+        # forbid only grows along a path, so a value that is unplaceable now
+        # stays unplaceable forever: one stranded value kills the whole
+        # subtree, not just its own branch
+        if free & forbid:
             return
-        if longs:
-            scan = free
-            while scan:
-                bit = scan & -scan
-                scan ^= bit
-                v = bit.bit_length()
-                for prepared in longs:
-                    if _completes_copy(prefix, depth, v, prepared):
-                        return
+        allowed = free
         if depth == 0 and first_value:
             allowed &= 1 << (first_value - 1)
         if depth == last:
@@ -264,49 +234,46 @@ def _walk(
             bit = allowed & -allowed
             allowed ^= bit
             v = bit.bit_length()
-            nmu, nnu, ntau, nalpha = mu, nu, tau, alpha
-            nm132, nm312 = m132, m312
+            # each rule adds the values that now complete a copy ending at v
+            nf = forbid
+            if f12:
+                nf |= above[v]
+            if f21:
+                nf |= below[v]
             if v > min_b:
-                if f123 and v < nmu:
-                    nmu = v
+                if f123:
+                    nf |= above[v]
                 if f132:
-                    nm132 |= above[min_b] & below[v]
+                    nf |= above[min_b] & below[v]
             if v < max_b:
-                if f321 and v > nnu:
-                    nnu = v
+                if f321:
+                    nf |= below[v]
                 if f312:
-                    nm312 |= above[v] & below[max_b]
+                    nf |= above[v] & below[max_b]
             if f213:
                 higher = used >> v
                 if higher:
-                    succ = v + (higher & -higher).bit_length()
-                    if succ < ntau:
-                        ntau = succ
+                    nf |= above[v + (higher & -higher).bit_length()]
             if f231:
                 lower = used & below[v]
                 if lower:
-                    pred = lower.bit_length()
-                    if pred > nalpha:
-                        nalpha = pred
+                    nf |= below[lower.bit_length()]
             prefix[depth] = v
+            for prepared in longs:
+                nf |= _completion_mask(prefix, depth, prepared, above, below)
             rec(
                 depth + 1,
                 used | bit,
+                nf,
                 v if v < min_b else min_b,
                 v if v > max_b else max_b,
-                nmu,
-                nnu,
-                ntau,
-                nalpha,
-                nm132,
-                nm312,
                 v,
                 inv_acc + (used & above[v]).bit_count(),
                 maj_acc + (depth if prev > v else 0),
                 des_acc + (1 if prev > v else 0),
             )
 
-    rec(0, 0, sentinel_hi, 0, sentinel_hi, 0, sentinel_hi, 0, 0, 0, 0, 0, 0, 0)
+    rec(0, 0, 0, sentinel_hi, 0, 0, 0, 0, 0)
 
 
 def enumerate_avoiders(

@@ -24,6 +24,14 @@ def contains_brute(p: Sequence[int], pattern: Sequence[int]) -> bool:
     return False
 
 
+def patterns_of(p: Sequence[int], k: int) -> set[tuple[int, ...]]:
+    """Every length-k pattern occurring in p: each k-subsequence, standardized."""
+    return {
+        tuple(sorted(sub).index(x) + 1 for x in sub)
+        for sub in itertools.combinations(p, k)
+    }
+
+
 def brute_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Filter S_n through the brute-force containment check."""
     pats = list(patterns)

@@ -1,16 +1,28 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import brute_avoiders, des_brute, inv_brute, maj_brute
+from conftest import brute_avoiders, des_brute, inv_brute, maj_brute, patterns_of
 from patstat import engine, perms, verify
 from patstat.engine import AvoidanceQuery, SearchCancelled
 from patstat.polynomials import QPoly, QTPoly
 
 S3 = sorted(perms.all_perms(3))
+S4 = sorted(perms.all_perms(4))
+
+
+def _mixed_pattern_sets(count: int = 40, seed: int = 4) -> list[tuple[tuple[int, ...], ...]]:
+    """Seeded sets of 1-3 patterns of lengths 1-5, so short and long rules mix."""
+    rng = random.Random(seed)
+    sets = [((1, 3, 2), (1, 2, 3, 4)), ((2, 1), (3, 1, 4, 2)), ((2, 3, 1), (1, 2, 4, 5, 3))]
+    while len(sets) < count:
+        lengths = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        sets.append(tuple(tuple(rng.sample(range(1, k + 1), k)) for k in lengths))
+    return sets
 
 
 def test_enumerate_examples():
@@ -36,12 +48,19 @@ def test_enumerate_matches_brute_filter():
         ((1, 2), (2, 1)),
     ]
     pattern_sets += [tuple(s) for r in (1, 2, 3) for s in itertools.combinations(S3, r)]
+    pattern_sets += _mixed_pattern_sets()
     for pats in pattern_sets:
         for n in range(7):
             assert list(engine.enumerate_avoiders(n, pats)) == brute_avoiders(n, pats), (
                 pats,
                 n,
             )
+    # every S4 singleton one length further, from one scan of S_n per length
+    for n in range(8):
+        occurs = {q: patterns_of(q, 4) for q in itertools.permutations(range(1, n + 1))}
+        for p in S4:
+            avoiders = [q for q, found in occurs.items() if p not in found]
+            assert list(engine.enumerate_avoiders(n, (p,))) == avoiders, (p, n)
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
@@ -53,7 +72,7 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 def test_profile_statistics_match_independent_implementations():
     pattern_sets = [tuple(s) for r in (1, 2) for s in itertools.combinations(S3, r)]
-    pattern_sets += [((2, 1, 4, 3),), ((1, 2, 3, 4),), ()]
+    pattern_sets += [(p,) for p in S4] + [()]
     for pats in pattern_sets:
         for n in range(7):
             avoiders = brute_avoiders(n, pats)

@@ -1,7 +1,7 @@
 """The verification suites must pass wholesale; individual identities get
 their own focused tests elsewhere, so modest bounds suffice here."""
 
-from patstat import verify
+from patstat import engine, verify
 
 
 def test_paper_suite_passes():
@@ -26,3 +26,21 @@ def test_check_result_lines():
         line = r.line()
         assert line.startswith(("PASS", "FAIL"))
         assert r.name in line
+
+
+def test_trivial_inv_wilf_names_unseparated_orbits(monkeypatch):
+    # 1324 and 1243 first differ at n = 6, so n_max = 5 cannot confirm
+    rep = verify.conjecture_suite("trivial-inv-wilf", n_max=5)
+    assert not rep.passed
+    assert rep.failures == (
+        "class ['1243', '1324', '2134'] joins orbits ['1243', '2134'], ['1324']: "
+        "not separated up to n_max=5",
+        "class ['3421', '4231', '4312'] joins orbits ['3421', '4312'], ['4231']: "
+        "not separated up to n_max=5",
+    )
+    assert verify.conjecture_suite("trivial-inv-wilf", n_max=6).passed
+    # a class that splits an orbit is a broken conjecture, not a small bound
+    split = engine.EquivalenceReport("inv", 4, 1, 5, ((((1, 2, 4, 3),),),))
+    monkeypatch.setattr(engine, "classify", lambda *args: split)
+    rep = verify.conjecture_suite("trivial-inv-wilf", n_max=5)
+    assert rep.failures == ("class ['1243'] != orbit ['1243', '2134']",)
