@@ -10,8 +10,10 @@ rule for each pattern of length 2 or 3 and, for longer patterns, by the
 value intervals that complete each copy of the pattern minus its last entry
 ending at the new value.  Because the mask only grows as the prefix grows, a
 subtree dies the moment any unused value becomes forbidden, which prunes the
-search far below the naive valid-prefix tree.  Output order is
-lexicographic in one-line notation and is part of the contract.
+search far below the naive valid-prefix tree.  A length-1 pattern starts the
+mask full, so only the empty permutation avoids it; the empty pattern occurs
+in every permutation, so it ends the search before it starts.  Output order
+is lexicographic in one-line notation and is part of the contract.
 """
 
 from __future__ import annotations
@@ -49,45 +51,7 @@ def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
 
 
 # ---------------------------------------------------------------------------
-# pattern compilation
-
-# Length-2/3 patterns with an O(1) rule that extends the forbidden mask when a
-# value is placed; see _walk.
-_SHORT_PATTERNS = {
-    (1, 2): "f12",
-    (2, 1): "f21",
-    (1, 2, 3): "f123",
-    (3, 2, 1): "f321",
-    (2, 1, 3): "f213",
-    (2, 3, 1): "f231",
-    (1, 3, 2): "f132",
-    (3, 1, 2): "f312",
-}
-
-
-@dataclass(frozen=True)
-class _Compiled:
-    impossible_all: bool  # empty pattern present: no avoiders at any length
-    impossible_pos: bool  # length-1 pattern present: only the empty perm survives
-    flags: frozenset[str]
-    long_patterns: tuple[Perm, ...]
-
-
-def _compile(patterns: tuple[Perm, ...]) -> _Compiled:
-    flags = set()
-    longs = []
-    impossible_all = False
-    impossible_pos = False
-    for p in patterns:
-        if len(p) == 0:
-            impossible_all = True
-        elif len(p) == 1:
-            impossible_pos = True
-        elif p in _SHORT_PATTERNS:
-            flags.add(_SHORT_PATTERNS[p])
-        else:
-            longs.append(p)
-    return _Compiled(impossible_all, impossible_pos, frozenset(flags), tuple(longs))
+# long-pattern completion masks
 
 
 def _prepare_long(pat: Perm):
@@ -145,7 +109,7 @@ def _completion_mask(prefix: list[int], m: int, prepared, above, below) -> int:
 
 def _walk(
     n: int,
-    compiled: _Compiled,
+    patterns: tuple[Perm, ...],
     on_leaf=None,
     should_stop: Optional[Callable[[], bool]] = None,
     first_value: int = 0,
@@ -161,14 +125,12 @@ def _walk(
     across processes.
     """
     hist, majdes = sink if sink is not None else (None, None)
-    if compiled.impossible_all:
+    if () in patterns:
         return
     if n == 0:
         # only profiles get here: enumerate_avoiders yields () itself
         hist[0] += 1
         majdes[(0, 0)] = majdes.get((0, 0), 0) + 1
-        return
-    if compiled.impossible_pos:
         return
 
     full = (1 << n) - 1
@@ -176,16 +138,15 @@ def _walk(
     above = [full & ~((1 << v) - 1) for v in range(n + 2)]
     below = [0] + [(1 << (v - 1)) - 1 for v in range(1, n + 2)]
 
-    flags = compiled.flags
-    f123 = "f123" in flags
-    f321 = "f321" in flags
-    f213 = "f213" in flags
-    f231 = "f231" in flags
-    f132 = "f132" in flags
-    f312 = "f312" in flags
-    f12 = "f12" in flags
-    f21 = "f21" in flags
-    longs = [_prepare_long(p) for p in compiled.long_patterns]
+    f12 = (1, 2) in patterns
+    f21 = (2, 1) in patterns
+    f123 = (1, 2, 3) in patterns
+    f321 = (3, 2, 1) in patterns
+    f213 = (2, 1, 3) in patterns
+    f231 = (2, 3, 1) in patterns
+    f132 = (1, 3, 2) in patterns
+    f312 = (3, 1, 2) in patterns
+    longs = [_prepare_long(p) for p in patterns if len(p) >= 4]
 
     prefix = [0] * n
     sentinel_hi = n + 1
@@ -273,7 +234,8 @@ def _walk(
                 des_acc + (1 if prev > v else 0),
             )
 
-    rec(0, 0, 0, sentinel_hi, 0, 0, 0, 0, 0)
+    # a length-1 pattern forbids every value, so the root dies at once
+    rec(0, 0, full if (1,) in patterns else 0, sentinel_hi, 0, 0, 0, 0, 0)
 
 
 def enumerate_avoiders(
@@ -285,12 +247,12 @@ def enumerate_avoiders(
     in lexicographic order of one-line notation."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    compiled = _compile(canonical_patterns(patterns))
+    pats = canonical_patterns(patterns)
     found: list[Perm] = []
 
     # Stream one first-value subtree at a time so memory stays bounded by
     # the largest subtree rather than the whole avoidance set.
-    if compiled.impossible_all:
+    if () in pats:
         return
     if n == 0:
         yield ()
@@ -301,7 +263,7 @@ def enumerate_avoiders(
 
     for first in range(1, n + 1):
         found.clear()
-        _walk(n, compiled, on_leaf, should_stop, first_value=first)
+        _walk(n, pats, on_leaf, should_stop, first_value=first)
         yield from found
 
 
@@ -318,17 +280,12 @@ class Profile:
     majdes_poly: QTPoly
 
 
-def _accumulate(n: int, compiled: _Compiled,
+def _accumulate(n: int, patterns: tuple[Perm, ...],
                 first_value: int) -> tuple[list[int], dict[tuple[int, int], int]]:
     inv_hist = [0] * (math.comb(n, 2) + 1)
     majdes: dict[tuple[int, int], int] = {}
-    _walk(n, compiled, first_value=first_value, sink=(inv_hist, majdes))
+    _walk(n, patterns, first_value=first_value, sink=(inv_hist, majdes))
     return inv_hist, majdes
-
-
-def _subtree_job(args):
-    n, patterns, first = args
-    return _accumulate(n, _compile(patterns), first)
 
 
 def _worker_count() -> int:
@@ -349,16 +306,14 @@ def _worker_count() -> int:
 
 @lru_cache(maxsize=8192)
 def _profile(n: int, patterns: tuple[Perm, ...]) -> Profile:
-    compiled = _compile(patterns)
     workers = _worker_count()
-    if workers > 1 and n >= 9 and not compiled.impossible_all and not compiled.impossible_pos:
+    if workers > 1 and n >= 9:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(n, patterns, first) for first in range(1, n + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            parts = list(pool.map(_subtree_job, jobs))
+            parts = list(pool.map(_accumulate, [n] * n, [patterns] * n, range(1, n + 1)))
     else:
-        parts = [_accumulate(n, compiled, 0)]
+        parts = [_accumulate(n, patterns, 0)]
     # one merge for both paths; the sums do not depend on the order of parts
     inv_hist = [sum(column) for column in zip(*(hist for hist, _ in parts))]
     majdes: Counter[tuple[int, int]] = Counter()

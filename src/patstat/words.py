@@ -341,19 +341,8 @@ def from_word_231_312_321(w: Word) -> Perm:
     w = word(w)
     if not in_sparse_set(w):
         raise ValueError("word must avoid adjacent ones and end with 0")
-    out: list[int] = []
-    base = 0
-    i = 0
-    while i < len(w):
-        if w[i] == 0:
-            out.append(base + 1)
-            base += 1
-            i += 1
-        else:
-            out.extend((base + 2, base + 1))
-            base += 2
-            i += 2
-    return tuple(out)
+    # the forward map is the one of 312-321 restricted to a smaller set
+    return from_word_312_321(w)
 
 
 # ---------------------------------------------------------------------------

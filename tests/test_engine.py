@@ -73,6 +73,8 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 def test_profile_statistics_match_independent_implementations():
     pattern_sets = [tuple(s) for r in (1, 2) for s in itertools.combinations(S3, r)]
     pattern_sets += [(p,) for p in S4] + [()]
+    # the empty pattern and a length-1 pattern, alone and beside others
+    pattern_sets += [((),), ((1,),), ((1,), (1, 2)), ((), (1, 2, 3))]
     for pats in pattern_sets:
         for n in range(7):
             avoiders = brute_avoiders(n, pats)
@@ -225,10 +227,11 @@ def test_cancellation():
 
 
 @pytest.mark.parametrize(
-    "pats", [((3, 2, 1),), ((1, 2, 3, 4), (3, 1, 2))], ids=["321", "1234-312"]
+    "pats", [((3, 2, 1),), ((1, 2, 3, 4), (3, 1, 2)), ((1,),)], ids=["321", "1234-312", "1"]
 )
 def test_worker_split_matches_serial(pats, monkeypatch):
-    # the second set puts the long-pattern matcher under the worker merge
+    # the second set puts the long-pattern matcher under the worker merge;
+    # the third sends workers subtrees that die at the root
     monkeypatch.delenv("PATSTAT_THREADS", raising=False)
     serial = engine._profile.__wrapped__(9, pats)
     monkeypatch.setenv("PATSTAT_THREADS", "2")

@@ -1,16 +1,21 @@
-"""The verification suites must pass wholesale; individual identities get
-their own focused tests elsewhere, so modest bounds suffice here."""
+"""The verification suites must pass.  Each paper check runs as its own test
+at its full documented range, so the identities it re-derives need no
+second exhaustive test elsewhere."""
+
+import pytest
 
 from patstat import engine, verify
 
 
-def test_paper_suite_passes():
+@pytest.mark.parametrize(
+    "name, check", verify.PAPER_CHECKS, ids=[name for name, _ in verify.PAPER_CHECKS]
+)
+def test_paper_suite_passes(name, check):
     # nmax=9 pushes every bounded check to its full documented range
-    results = verify.run_paper_suite(nmax=9)
-    failed = [r.line() for r in results if not r.passed]
-    assert not failed, failed
-    assert len(results) == len(verify.PAPER_CHECKS)
-    assert all(r.cases > 0 for r in results)
+    r = check(9)
+    assert r.passed, r.line()
+    assert r.cases > 0
+    assert r.name == name
 
 
 def test_conjecture_suite_passes():
