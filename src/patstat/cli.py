@@ -157,7 +157,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     patterns = parse_pattern_set(args.avoid)
-    count = engine.count_avoiders(args.n, patterns)
+    count = engine.count_avoiders(args.n, patterns,
+                                  should_stop=_deadline_checker(args.limit_seconds))
     if args.format == "json":
         print(json.dumps({"n": args.n, "patterns": list(map(format_perm, patterns)),
                           "count": count}))
@@ -168,10 +169,11 @@ def _cmd_count(args) -> int:
 
 def _cmd_poly(args) -> int:
     patterns = parse_pattern_set(args.avoid)
+    stop = _deadline_checker(args.limit_seconds)
     if args.stat == "majdes":
-        poly = engine.maj_des_poly(args.n, patterns)
+        poly = engine.maj_des_poly(args.n, patterns, should_stop=stop)
     else:
-        poly = engine.stat_poly(args.n, patterns, args.stat)
+        poly = engine.stat_poly(args.n, patterns, args.stat, should_stop=stop)
     meta = {"n": args.n, "patterns": [format_perm(p) for p in patterns],
             "stat": args.stat}
     _emit_poly(poly, args.format, meta)
@@ -273,7 +275,8 @@ def _cmd_bijection(args) -> int:
 def _cmd_mahonian(args) -> int:
     left = AvoidanceQuery(args.n, parse_pattern_set(args.left))
     right = AvoidanceQuery(args.n, parse_pattern_set(args.right))
-    ok = engine.mahonian_pair_check(left, right)
+    ok = engine.mahonian_pair_check(
+        left, right, should_stop=_deadline_checker(args.limit_seconds))
     if args.format == "json":
         print(json.dumps({"n": args.n, "left": args.left, "right": args.right,
                           "mahonian": ok}))

@@ -210,7 +210,7 @@ def check_counts_from_polynomials(nmax: int = 9) -> CheckResult:
         for subset in itertools.combinations(ground, size):
             for n in range(min(nmax, 9) + 1):
                 cases += 1
-                # count leaves: Profile.count sums the same histogram as the polynomial
+                # the profile's polynomial at q = 1 against the search's leaves
                 poly_count = engine.stat_poly(n, subset, "inv").eval_at_q1()
                 if poly_count != sum(1 for _ in engine.enumerate_avoiders(n, subset)):
                     failures.append(

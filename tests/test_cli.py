@@ -192,6 +192,25 @@ def test_limit_seconds_aborts_classify(capsys):
     assert "time limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "13", "--avoid", "1324"],
+    ["poly", "--stat", "majdes", "--n", "13", "--avoid", "1324", "--format", "json"],
+    ["mahonian", "--left", "1324", "--right", "1234", "--n", "13"],
+], ids=["count", "poly", "mahonian"])
+def test_limit_seconds_aborts_profiles(argv, capsys):
+    code, out, err = run_cli(argv + ["--limit-seconds", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "patstat: time limit exceeded, partial results suppressed\n"
+
+
+def test_count_overflow_exit_code(capsys):
+    code, out, err = run_cli(["count", "--n", "36", "--avoid", "321"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("patstat: integer overflow")
+
+
 def test_progress_goes_to_stderr_only(capsys):
     code, out, err = run_cli(
         ["enumerate", "--n", "9", "--avoid", "", "--progress", "--format", "csv"],

@@ -3,8 +3,11 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_avoiders, des_brute, inv_brute, maj_brute, patterns_of
 from patstat import engine, perms, verify
@@ -70,26 +73,58 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
             assert out == sorted(set(out))
 
 
+def _tally(n, avoiders, inv, maj, des):
+    """The inv polynomial and the maj/des polynomial of a list of permutations."""
+    inv_counts = [0] * (math.comb(n, 2) + 1)
+    md_counts = Counter()
+    for p in avoiders:
+        inv_counts[inv(p)] += 1
+        md_counts[(maj(p), des(p))] += 1
+    return QPoly(inv_counts), QTPoly.from_counts(md_counts)
+
+
+def _check_profile(n, pats, avoiders, inv, maj, des):
+    prof = engine.profile(n, pats)
+    assert prof.count == len(avoiders), (pats, n)
+    assert (prof.inv_poly, prof.majdes_poly) == _tally(n, avoiders, inv, maj, des), (pats, n)
+
+
+def _brute_profile(n, pats):
+    _check_profile(n, pats, brute_avoiders(n, pats), inv_brute, maj_brute, des_brute)
+
+
+_PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)).map(tuple))
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.lists(_PATTERN, min_size=1, max_size=3).map(tuple))
+# reverse-complement maps {132, 213} to itself; 2413 and 3142 start in the middle
+@example(((1, 3, 2), (2, 1, 3)))
+@example(((2, 4, 1, 3),))
+@example(((2, 1, 3), (3, 1, 4, 2)))
+@example(((2, 3, 1), (2, 4, 1, 3), (3, 1, 4, 2)))
+def _drawn_sets_match_brute_force(pats):
+    for n in range(7):
+        _brute_profile(n, pats)
+
+
 def test_profile_statistics_match_independent_implementations():
-    pattern_sets = [tuple(s) for r in (1, 2) for s in itertools.combinations(S3, r)]
-    pattern_sets += [(p,) for p in S4] + [()]
     # the empty pattern and a length-1 pattern, alone and beside others
-    pattern_sets += [((),), ((1,),), ((1,), (1, 2)), ((), (1, 2, 3))]
-    for pats in pattern_sets:
+    for pats in [((),), ((1,),), ((1,), (1, 2)), ((), (1, 2, 3))]:
         for n in range(7):
-            avoiders = brute_avoiders(n, pats)
-            prof = engine.profile(n, pats)
-            assert prof.count == len(avoiders)
-            inv_counts = {}
-            md_counts = {}
-            for p in avoiders:
-                inv_counts[inv_brute(p)] = inv_counts.get(inv_brute(p), 0) + 1
-                key = (maj_brute(p), des_brute(p))
-                md_counts[key] = md_counts.get(key, 0) + 1
-            assert prof.inv_poly == QPoly(
-                [inv_counts.get(i, 0) for i in range(math.comb(n, 2) + 1)]
-            )
-            assert prof.majdes_poly == QTPoly.from_counts(md_counts)
+            _brute_profile(n, pats)
+    _drawn_sets_match_brute_force()
+    # the search and perms' statistics, beyond the brute filter's reach; the
+    # empty set stops at n = 7, since S_9 alone would take most of the time
+    pattern_sets = [s for r in range(7) for s in itertools.combinations(S3, r)]
+    for pats in pattern_sets:
+        for n in range(10 if pats else 8):
+            _check_profile(n, pats, list(engine.enumerate_avoiders(n, pats)),
+                           perms.inv, perms.maj, perms.des)
+    for p in S4:
+        for n in range(8):
+            _check_profile(n, (p,), list(engine.enumerate_avoiders(n, (p,))),
+                           perms.inv, perms.maj, perms.des)
 
 
 def test_count_examples():
@@ -226,29 +261,41 @@ def test_cancellation():
     assert calls[0] >= 1
 
 
-@pytest.mark.parametrize(
-    "pats", [((3, 2, 1),), ((1, 2, 3, 4), (3, 1, 2)), ((1,),)], ids=["321", "1234-312", "1"]
-)
-def test_worker_split_matches_serial(pats, monkeypatch):
-    # the second set puts the long-pattern matcher under the worker merge;
-    # the third sends workers subtrees that die at the root
-    monkeypatch.delenv("PATSTAT_THREADS", raising=False)
-    serial = engine._profile.__wrapped__(9, pats)
-    monkeypatch.setenv("PATSTAT_THREADS", "2")
-    parallel = engine._profile.__wrapped__(9, pats)
-    assert serial == parallel
+def test_profile_cancellation_caches_nothing():
+    pats = ((1, 3, 2, 4),)
+    calls = [0]
+
+    def stop_later():
+        calls[0] += 1
+        return calls[0] > 3
+
+    engine._profile_cache.pop((9, pats), None)
+    for query in (
+        lambda: engine.count_avoiders(9, pats, should_stop=stop_later),
+        lambda: engine.stat_poly(9, pats, "maj", should_stop=stop_later),
+        lambda: engine.maj_des_poly(9, pats, should_stop=stop_later),
+        lambda: engine.mahonian_pair_check(AvoidanceQuery(9, pats), AvoidanceQuery(9, pats),
+                                           should_stop=stop_later),
+    ):
+        calls[0] = 0
+        with pytest.raises(SearchCancelled):
+            query()
+        assert calls[0] == 4
+        assert (9, pats) not in engine._profile_cache
+    # a run that is never stopped polls without effect and is cached
+    assert engine.count_avoiders(9, pats, should_stop=lambda: False) == 94776
+    assert (9, pats) in engine._profile_cache
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
-def test_bad_thread_count_warns_and_runs_serially(raw, monkeypatch):
-    pats = ((3, 2, 1),)
-    monkeypatch.delenv("PATSTAT_THREADS", raising=False)
-    serial = engine._profile.__wrapped__(9, pats)
-    monkeypatch.setenv("PATSTAT_THREADS", raw)
-    with pytest.warns(RuntimeWarning, match="PATSTAT_THREADS=" + repr(raw)) as record:
-        got = engine._profile.__wrapped__(9, pats)
-    assert len(record) == 1
-    assert got == serial
+def test_count_is_checked_against_64_bits():
+    from patstat.formulas import catalan
+
+    assert engine.count_avoiders(35, ((3, 2, 1),)) == catalan(35) == 3116285494907301262
+    # every inv coefficient of Av_36(321) fits, their sum Catalan(36) does not
+    poly = engine.stat_poly(36, ((3, 2, 1),), "inv")
+    assert max(poly.coeffs) < 2**63 < catalan(36)
+    with pytest.raises(OverflowError):
+        engine.count_avoiders(36, ((3, 2, 1),))
 
 
 def test_import_does_not_load_verify():
