@@ -138,15 +138,23 @@ def _cmd_enumerate(args) -> int:
     emitted = 0
     start = time.monotonic()
     stream_text = args.format == "text"
-    for p in engine.enumerate_avoiders(args.n, patterns, should_stop=stop):
-        if stream_text:
-            print(format_perm(p))
-        else:
-            out.append(format_perm(p))
-        emitted += 1
-        if args.progress and emitted % 100000 == 0:
-            rate = emitted / (time.monotonic() - start + 1e-9)
-            print(f"... {emitted} avoiders ({rate:.0f}/s)", file=sys.stderr)
+    try:
+        for p in engine.enumerate_avoiders(args.n, patterns, should_stop=stop):
+            if stream_text:
+                print(format_perm(p))
+            else:
+                out.append(format_perm(p))
+            emitted += 1
+            if args.progress and emitted % 100000 == 0:
+                rate = emitted / (time.monotonic() - start + 1e-9)
+                print(f"... {emitted} avoiders ({rate:.0f}/s)", file=sys.stderr)
+    except SearchCancelled:
+        if not stream_text:
+            raise
+        # the text already printed stays; say where it stops
+        print(f"patstat: time limit exceeded, output incomplete after {emitted} avoiders",
+              file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps({"n": args.n, "patterns": args.avoid and args.avoid.split(",") or [],
                           "avoiders": out}))
@@ -286,10 +294,8 @@ def _cmd_mahonian(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "paper":
-        results = verify.run_paper_suite(args.nmax)
-    else:
-        results = verify.run_conjecture_suite(args.nmax)
+    run = verify.run_paper_suite if args.suite == "paper" else verify.run_conjecture_suite
+    results = run(args.nmax, should_stop=_deadline_checker(args.limit_seconds))
     if args.format == "json":
         print(json.dumps([{"name": r.name, "passed": r.passed, "cases": r.cases,
                            "failures": list(r.failures)} for r in results]))

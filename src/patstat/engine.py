@@ -1,25 +1,20 @@
-"""Pattern-avoidance sets: enumeration by backtracking search, statistic
-generating polynomials by a dynamic program over prefix states.
+"""Pattern-avoidance sets, by one rule set over prefix states.
 
-The search places values left to right; a placement is rejected exactly
-when it completes a pattern copy whose final element is the new entry, so
-a prefix that already contains a copy is never explored.  It carries one
-bitmask of forbidden values: the values that would complete a copy of some
-pattern after the current prefix.  Placing a value extends it, by an O(1)
-rule for each pattern of length 2 or 3 and, for longer patterns, by the
-value intervals that complete each copy of the pattern minus its last entry
-ending at the new value.  Because the mask only grows as the prefix grows, a
-subtree dies the moment any unused value becomes forbidden, which prunes the
-search far below the naive valid-prefix tree.  A length-1 pattern starts the
-mask full, so only the empty permutation avoids it; the empty pattern occurs
-in every permutation, so it ends the search before it starts.  Output order
-is lexicographic in one-line notation and is part of the contract.
+Values are placed left to right.  With m values still free, a placed
+value's cut is the number of free values below it, and what a prefix means
+for its completions depends only on those cuts: the prefixes of one length
+fall into few states (see _transitions).  A placement is rejected when a
+free value would then complete a copy of some pattern: that value must
+still be placed, so no avoider has the prefix.  The empty pattern occurs
+in every permutation and a length-1 pattern in every nonempty one, so
+those sets are settled before any state is built.
 
-Profiles (the inv polynomial and the joint maj/des polynomial) do not visit
-the avoiders one by one.  What a prefix means for its completions depends
-only on where its entries sit relative to the values still free, so the
-prefixes of one length fall into few states; the dynamic program carries
-one polynomial pair per state, level by level (see _dp_profile).
+Enumeration walks the states depth first, placing the free value of each
+allowed rank, so its output order is lexicographic in one-line notation,
+which is part of the contract.  Profiles (the inv polynomial and the joint
+maj/des polynomial) run the same rules level by level, carrying one
+polynomial pair per state rather than visiting the avoiders one by one
+(see _dp_profile).
 """
 
 from __future__ import annotations
@@ -55,202 +50,7 @@ def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
 
 
 # ---------------------------------------------------------------------------
-# long-pattern completion masks
-
-
-def _prepare_long(pat: Perm):
-    """Precompute order relations of the head pat[:-1] for _completion_mask."""
-    k1 = len(pat) - 1
-    head, last = pat[:-1], pat[-1]
-    rel = tuple(tuple(head[t] < head[j] for t in range(j)) for j in range(k1))
-    # slots of the head values just below and just above last; the slots
-    # k1 and k1 + 1 hold the sentinels 0 and n + 1
-    lo = head.index(last - 1) if last > 1 else k1
-    hi = head.index(last + 1) if last <= k1 else k1 + 1
-    return k1, rel, lo, hi
-
-
-def _completion_mask(prefix: list[int], m: int, prepared, above, below) -> int:
-    """Values that complete a pattern copy whose head copy ends at prefix[m].
-
-    Each copy of pat[:-1] ending at the new entry contributes the open
-    value interval between its values nearest below and above pat[-1].
-    """
-    k1, rel, lo, hi = prepared
-    if m < k1 - 1:
-        return 0
-    v = prefix[m]
-    anchor = rel[k1 - 1]
-    chosen = [0] * k1 + [0, len(above) - 1]
-    chosen[k1 - 1] = v
-    mask = 0
-
-    def go(j: int, start: int) -> None:
-        nonlocal mask
-        if j == k1 - 1:
-            mask |= above[chosen[lo]] & below[chosen[hi]]
-            return
-        relj = rel[j]
-        wantv = anchor[j]
-        for i in range(start, m - (k1 - 2 - j)):
-            x = prefix[i]
-            if (x < v) != wantv:
-                continue
-            for t in range(j):
-                if (chosen[t] < x) != relj[t]:
-                    break
-            else:
-                chosen[j] = x
-                go(j + 1, i + 1)
-
-    go(0, 0)
-    return mask
-
-
-# ---------------------------------------------------------------------------
-# the search itself
-
-
-def _walk(
-    n: int,
-    patterns: tuple[Perm, ...],
-    first_value: int,
-    on_leaf: Callable[[list[int]], None],
-    should_stop: Optional[Callable[[], bool]],
-) -> None:
-    """Run the backtracking search over the permutations of length n >= 1
-    that start with first_value, passing each avoider to on_leaf(prefix)."""
-    if () in patterns:
-        return
-    full = (1 << n) - 1
-    # above[v]: bitmask of values strictly greater than v; below[v]: strictly less
-    above = [full & ~((1 << v) - 1) for v in range(n + 2)]
-    below = [0] + [(1 << (v - 1)) - 1 for v in range(1, n + 2)]
-
-    f12 = (1, 2) in patterns
-    f21 = (2, 1) in patterns
-    f123 = (1, 2, 3) in patterns
-    f321 = (3, 2, 1) in patterns
-    f213 = (2, 1, 3) in patterns
-    f231 = (2, 3, 1) in patterns
-    f132 = (1, 3, 2) in patterns
-    f312 = (3, 1, 2) in patterns
-    longs = [_prepare_long(p) for p in patterns if len(p) >= 4]
-
-    prefix = [0] * n
-    sentinel_hi = n + 1
-    ticker = [0]
-    last = n - 1
-
-    def rec(depth: int, used: int, forbid: int, min_b: int, max_b: int) -> None:
-        if should_stop is not None:
-            ticker[0] += 1
-            if ticker[0] >= _STOP_CHECK_INTERVAL:
-                ticker[0] = 0
-                if should_stop():
-                    raise SearchCancelled("enumeration stopped")
-        free = full & ~used
-        # forbid only grows along a path, so a value that is unplaceable now
-        # stays unplaceable forever: one stranded value kills the whole
-        # subtree, not just its own branch
-        if free & forbid:
-            return
-        allowed = free
-        if depth == 0:
-            allowed &= 1 << (first_value - 1)
-        if depth == last:
-            # exactly one value is free, so finish without recursing
-            if allowed:
-                prefix[depth] = allowed.bit_length()
-                on_leaf(prefix)
-            return
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            v = bit.bit_length()
-            # each rule adds the values that now complete a copy ending at v
-            nf = forbid
-            if f12:
-                nf |= above[v]
-            if f21:
-                nf |= below[v]
-            if v > min_b:
-                if f123:
-                    nf |= above[v]
-                if f132:
-                    nf |= above[min_b] & below[v]
-            if v < max_b:
-                if f321:
-                    nf |= below[v]
-                if f312:
-                    nf |= above[v] & below[max_b]
-            if f213:
-                higher = used >> v
-                if higher:
-                    nf |= above[v + (higher & -higher).bit_length()]
-            if f231:
-                lower = used & below[v]
-                if lower:
-                    nf |= below[lower.bit_length()]
-            prefix[depth] = v
-            for prepared in longs:
-                nf |= _completion_mask(prefix, depth, prepared, above, below)
-            rec(
-                depth + 1,
-                used | bit,
-                nf,
-                v if v < min_b else min_b,
-                v if v > max_b else max_b,
-            )
-
-    # a length-1 pattern forbids every value, so the root dies at once
-    rec(0, 0, full if (1,) in patterns else 0, sentinel_hi, 0)
-
-
-def enumerate_avoiders(
-    n: int,
-    patterns: Iterable[Sequence[int]],
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> Iterator[Perm]:
-    """Yield the permutations of length n avoiding every pattern, each once,
-    in lexicographic order of one-line notation."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    pats = canonical_patterns(patterns)
-    found: list[Perm] = []
-
-    # Stream one first-value subtree at a time so memory stays bounded by
-    # the largest subtree rather than the whole avoidance set.
-    if () in pats:
-        return
-    if n == 0:
-        yield ()
-        return
-
-    def on_leaf(prefix):
-        found.append(tuple(prefix))
-
-    for first in range(1, n + 1):
-        found.clear()
-        _walk(n, pats, first, on_leaf, should_stop)
-        yield from found
-
-
-# ---------------------------------------------------------------------------
-# statistic profiles: a dynamic program over prefix states
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Joint statistics over one avoidance set."""
-
-    inv_poly: QPoly
-    majdes_poly: QTPoly
-
-    @property
-    def count(self) -> int:
-        """The size of the set; like every coefficient, it must fit in 64 bits."""
-        return self.inv_poly.eval_at_q1()
+# prefix states
 
 
 class _CopyTables(NamedTuple):
@@ -347,49 +147,25 @@ def _step_all(longs: list[_CopyTables], copies: tuple[frozenset, ...], r: int,
     return tuple(out)
 
 
-def _anchored(patterns: Iterable[Perm]) -> int:
-    return sum(p[0] in (1, len(p)) for p in patterns)
+def _transitions(n: int, patterns: tuple[Perm, ...]):
+    """The prefix states of Av_n(patterns) and the rule that extends them.
 
+    With m values still free, the free value of rank r (0-based) is placed
+    next: an old cut c becomes c - 1 if c > r and the new entry gets cut r.
+    A state holds what the completions can still see of the prefix, in
+    cuts: the previous entry; the least and greatest entries (for 123, 132,
+    321, 312); which gaps strictly inside the free values hold an entry (for
+    213, 231); and for each pattern pat of length k >= 4 the set of cut
+    tuples of the copies of pat[:j], 1 <= j <= k - 2, that still fit in the
+    free values.  A copy of pat[:-1] is settled when it forms: a free value
+    in its completion gap kills the prefix, and an empty gap stays empty.
+    Prefixes with equal states have the same completions.
 
-def _dp_profile(n: int, patterns: tuple[Perm, ...],
-                should_stop: Optional[Callable[[], bool]]) -> Profile:
-    """The profile of Av_n(patterns) by a dynamic program over prefix states.
-
-    Values are placed left to right.  With m values still free, a placed
-    value's cut is the number of free values below it, and the free value
-    of rank r (0-based) is placed next: an old cut c becomes c - 1 if
-    c > r, the new entry gets cut r, it adds r to inv (the smaller values
-    that follow it) and makes a descent iff r < the cut of the previous
-    entry.  A state holds what the completions can still see of the
-    prefix, in cuts: the previous entry; the least and greatest entries
-    (for 123, 132, 321, 312); which gaps strictly inside the free values
-    hold an entry (for 213, 231); and for each pattern pat of length
-    k >= 4 the set of cut tuples of the copies of pat[:j], 1 <= j <= k - 2,
-    that still fit in the free values.  A copy of pat[:-1] is settled when
-    it forms: a free value in its completion gap kills the prefix, and an
-    empty gap stays empty.  The rules are the search's forbidden-value
-    rules read in cuts.  Prefixes with equal states have the same completions,
-    so each level maps a state to the inv and maj/des polynomials of the
-    prefixes reaching it; only two levels are alive at once.
-
-    Polynomials are packed into integers, one slot per exponent, so moving
-    a prefix's polynomials to a child is a shift.  No coefficient exceeds
-    n!, which fixes the slot width.  A set whose patterns start with their
-    minimum or maximum less often than those of the reverse-complement set
-    is run in that orientation: reverse-complement keeps inv and des and
-    maps maj to n*des - maj.
+    Returns the root state and children(state, m, steps), the list of child
+    states in increasing r; a child's first field is its r.  steps caches
+    the copy moves of patterns of length >= 4; they depend on m, so each m
+    needs its own dict.  Patterns of length 0 and 1 are left to the caller.
     """
-    if () in patterns:
-        return Profile(QPoly.zero(), QTPoly.zero())
-    if n == 0:
-        return Profile(QPoly.one(), QTPoly.one())
-    if (1,) in patterns:
-        return Profile(QPoly.zero(), QTPoly.zero())
-    flipped = tuple(complement(reverse(p)) for p in patterns)
-    rc = _anchored(flipped) > _anchored(patterns)
-    if rc:
-        patterns = flipped
-
     f12 = (1, 2) in patterns
     f21 = (2, 1) in patterns
     f123 = (1, 2, 3) in patterns
@@ -403,48 +179,181 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
     track_mid = f213 or f231
     longs = [_copy_tables(p) for p in patterns if len(p) >= 4]
 
+    def children(state, m: int, steps: dict) -> list:
+        _, min_cut, max_cut, mid, copies = state
+        inner = (1 << (m - 1)) - 2 if m > 1 else 0  # gaps 1 .. m-2 of the child
+        out = []
+        for r in range(m):
+            if f12 and r != m - 1 or f21 and r:
+                continue
+            if r >= min_cut and (f123 and r < m - 1 or f132 and r > min_cut):
+                continue
+            if r < max_cut and (f321 and r or f312 and r < max_cut - 1):
+                continue
+            if f213 and mid >> (r + 1) or f231 and mid & ((2 << r) - 1):
+                continue
+            moved = copies
+            if longs:
+                try:
+                    moved = steps[copies, r]
+                except KeyError:
+                    moved = steps[copies, r] = _step_all(longs, copies, r, m)
+                if moved is None:
+                    continue
+            out.append((
+                r,
+                min(r, min_cut) if track_min else 0,
+                (r if r >= max_cut else max_cut - 1) if track_max else 0,
+                ((mid & ((2 << r) - 1)) | (mid >> (r + 1) << r) | (1 << r)) & inner
+                if track_mid else 0,
+                moved,
+            ))
+        return out
+
+    # (prev_cut, min_cut, max_cut, mid_mask, copies); the root's least entry
+    # is a sentinel above every value
+    return (0, n if track_min else 0, 0, 0, (frozenset(),) * len(longs)), children
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+
+def enumerate_avoiders(
+    n: int,
+    patterns: Iterable[Sequence[int]],
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> Iterator[Perm]:
+    """Yield the permutations of length n avoiding every pattern, each once,
+    in lexicographic order of one-line notation."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    pats = canonical_patterns(patterns)
+    # the empty pattern occurs in every permutation, a length-1 pattern in
+    # every nonempty one
+    if () in pats or n and (1,) in pats:
+        return
+    if n == 0:
+        yield ()
+        return
+    root, children = _transitions(n, pats)
+    # per m: the children met so far of each state, and the copy moves
+    memo: list[dict] = [{} for _ in range(n + 1)]
+    steps: list[dict] = [{} for _ in range(n + 1)]
+    # the ranks r, 0 or 1, that a state with two free values may place
+    # first and still place the other one after
+    ends: dict = {}
+    prefix = [0] * n
+    found: list[Perm] = []
+    ticker = 0
+
+    def kids(state, m: int) -> list:
+        known = memo[m]
+        out = known.get(state)
+        if out is None:
+            out = known[state] = children(state, m, steps[m])
+        return out
+
+    def rec(state, m: int, free: list[int]) -> None:
+        nonlocal ticker
+        if should_stop is not None:
+            ticker += 1
+            if ticker >= _STOP_CHECK_INTERVAL:
+                ticker = 0
+                if should_stop():
+                    raise SearchCancelled("enumeration stopped")
+        depth = n - m
+        if m > 2:
+            for child in kids(state, m):
+                r = child[0]
+                prefix[depth] = free[r]
+                rec(child, m - 1, free[:r] + free[r + 1:])
+        elif m == 2:
+            # place both values at once rather than recursing for the last
+            ranks = ends.get(state)
+            if ranks is None:
+                ranks = ends[state] = [c[0] for c in kids(state, 2) if kids(c, 1)]
+            for r in ranks:
+                prefix[depth] = free[r]
+                prefix[depth + 1] = free[1 - r]
+                found.append(tuple(prefix))
+        elif m == 0 or kids(state, 1):  # the root's child has m < 2 only if n <= 2
+            prefix[depth:] = free
+            found.append(tuple(prefix))
+
+    # Stream one first-value subtree at a time so memory stays bounded by
+    # the largest subtree rather than the whole avoidance set.
+    free = list(range(1, n + 1))
+    for child in kids(root, n):
+        r = child[0]
+        prefix[0] = free[r]
+        found.clear()
+        rec(child, n - 1, free[:r] + free[r + 1:])
+        yield from found
+
+
+# ---------------------------------------------------------------------------
+# statistic profiles: a dynamic program over prefix states
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Joint statistics over one avoidance set."""
+
+    inv_poly: QPoly
+    majdes_poly: QTPoly
+
+    @property
+    def count(self) -> int:
+        """The size of the set; like every coefficient, it must fit in 64 bits."""
+        return self.inv_poly.eval_at_q1()
+
+
+def _anchored(patterns: Iterable[Perm]) -> int:
+    return sum(p[0] in (1, len(p)) for p in patterns)
+
+
+def _dp_profile(n: int, patterns: tuple[Perm, ...],
+                should_stop: Optional[Callable[[], bool]]) -> Profile:
+    """The profile of Av_n(patterns) by a dynamic program over prefix states.
+
+    Each level maps a state of _transitions to the inv and maj/des
+    polynomials of the prefixes reaching it; only two levels are alive at
+    once.  Placing the free value of rank r adds r to inv (the smaller
+    values that follow it) and makes a descent iff r < the cut of the
+    previous entry.
+
+    Polynomials are packed into integers, one slot per exponent, so moving
+    a prefix's polynomials to a child is a shift.  No coefficient exceeds
+    n!, which fixes the slot width.  A set whose patterns start with their
+    minimum or maximum less often than those of the reverse-complement set
+    is run in that orientation: reverse-complement keeps inv and des and
+    maps maj to n*des - maj.
+    """
+    if () in patterns or n and (1,) in patterns:
+        return Profile(QPoly.zero(), QTPoly.zero())
+    if n == 0:
+        return Profile(QPoly.one(), QTPoly.one())
+    flipped = tuple(complement(reverse(p)) for p in patterns)
+    rc = _anchored(flipped) > _anchored(patterns)
+    root, children = _transitions(n, flipped if rc else patterns)
+
     bits = math.factorial(n).bit_length()
     slot_bytes = next((b for b in _WORD_CODES if 8 * b >= bits), (bits + 63) // 64 * 8)
     slot = 8 * slot_bytes
     maj_span = math.comb(n, 2) + 1  # maj <= C(n, 2); md slot of q^maj t^des: maj + maj_span*des
 
-    # state: (prev_cut, min_cut, max_cut, mid_mask, copies); the root's
-    # least entry is a sentinel above every value
-    root = (0, n if track_min else 0, 0, 0, (frozenset(),) * len(longs))
     level = {root: [1, 1]}
     for depth in range(n):
         m = n - depth
-        inner = (1 << (m - 1)) - 2 if m > 1 else 0  # gaps 1 .. m-2 of the child
         nxt: dict = {}
-        steps: dict = {}  # (copies, r) -> copies of the child, None if it dies
-        for (prev_cut, min_cut, max_cut, mid, copies), (inv_x, md_x) in level.items():
+        steps: dict = {}  # (copies, r) -> the child's copies, None if it dies
+        for state, (inv_x, md_x) in level.items():
             if should_stop is not None and should_stop():
                 raise SearchCancelled("profile stopped")
-            for r in range(m):
-                if f12 and r != m - 1 or f21 and r:
-                    continue
-                if r >= min_cut and (f123 and r < m - 1 or f132 and r > min_cut):
-                    continue
-                if r < max_cut and (f321 and r or f312 and r < max_cut - 1):
-                    continue
-                if f213 and mid >> (r + 1) or f231 and mid & ((2 << r) - 1):
-                    continue
-                moved = copies
-                if longs:
-                    try:
-                        moved = steps[copies, r]
-                    except KeyError:
-                        moved = steps[copies, r] = _step_all(longs, copies, r, m)
-                    if moved is None:
-                        continue
-                child = (
-                    r,
-                    min(r, min_cut) if track_min else 0,
-                    (r if r >= max_cut else max_cut - 1) if track_max else 0,
-                    ((mid & ((2 << r) - 1)) | (mid >> (r + 1) << r) | (1 << r)) & inner
-                    if track_mid else 0,
-                    moved,
-                )
+            prev_cut = state[0]
+            for child in children(state, m, steps):
+                r = child[0]
                 iv = inv_x << (slot * r)
                 mv = md_x << (slot * (depth + maj_span)) if r < prev_cut else md_x
                 acc = nxt.get(child)

@@ -17,9 +17,9 @@ from typing import Iterable, Iterator, Mapping, Union
 _COEFF_BOUND = 1 << 63
 
 
-def _checked(c: int) -> int:
+def _checked(c: int, what: str = "coefficient") -> int:
     if not -_COEFF_BOUND < c < _COEFF_BOUND:
-        raise OverflowError(f"coefficient {c} exceeds the signed 64-bit range")
+        raise OverflowError(f"{what} {c} exceeds the signed 64-bit range")
     return c
 
 
@@ -144,7 +144,7 @@ class QPoly:
         return QPoly(out)
 
     def eval_at_q1(self) -> int:
-        return _checked(sum(self.coeffs))
+        return _checked(sum(self.coeffs), "count")
 
     def eval_at(self, q: Union[int, Fraction]) -> Union[int, Fraction]:
         out: Union[int, Fraction] = 0

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from . import engine, formulas, perms, words
 from .polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer, q_int
@@ -643,9 +643,22 @@ PAPER_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
 )
 
 
-def run_paper_suite(nmax: int = 8) -> list[CheckResult]:
-    return [fn(nmax) for _, fn in PAPER_CHECKS]
+def _polled(should_stop: Optional[Callable[[], bool]], check: Callable[..., CheckResult],
+            *args, **kwargs) -> CheckResult:
+    """check(*args, **kwargs), unless should_stop fires first."""
+    if should_stop is not None and should_stop():
+        raise engine.SearchCancelled("verification stopped")
+    return check(*args, **kwargs)
 
 
-def run_conjecture_suite(nmax: int = 8) -> list[CheckResult]:
-    return [conjecture_suite(name, n_max=min(nmax, 8)) for name in CONJECTURE_NAMES]
+def run_paper_suite(nmax: int = 8,
+                    should_stop: Optional[Callable[[], bool]] = None) -> list[CheckResult]:
+    """Every paper check in turn; should_stop is polled before each one."""
+    return [_polled(should_stop, fn, nmax) for _, fn in PAPER_CHECKS]
+
+
+def run_conjecture_suite(nmax: int = 8,
+                         should_stop: Optional[Callable[[], bool]] = None) -> list[CheckResult]:
+    """Every conjecture check in turn; should_stop is polled before each one."""
+    return [_polled(should_stop, conjecture_suite, name, n_max=min(nmax, 8))
+            for name in CONJECTURE_NAMES]

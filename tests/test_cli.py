@@ -1,10 +1,13 @@
+import itertools
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from patstat import cli
+from patstat import cli, engine
+from patstat.perms import format_perm
 
 
 def run_cli(args, capsys):
@@ -181,6 +184,32 @@ def test_limit_seconds_aborts(capsys):
     assert "time limit" in err
 
 
+def _streamed_until_limit(argv, capsys):
+    """The lines an enumeration printed before its time limit, and their
+    number as named on stderr."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    match = re.fullmatch(
+        r"patstat: time limit exceeded, output incomplete after (\d+) avoiders\n", err
+    )
+    assert match, err
+    return out.splitlines(), int(match.group(1))
+
+
+def test_limit_seconds_keeps_streamed_text(capsys):
+    lines, printed = _streamed_until_limit(
+        ["enumerate", "--n", "11", "--avoid", "", "--limit-seconds", "0.02"], capsys
+    )
+    first = itertools.islice(itertools.permutations(range(1, 12)), printed)
+    assert lines == [format_perm(p) for p in first]
+    # Av_14(123) starts with small first-value subtrees, so some get out in time
+    lines, printed = _streamed_until_limit(
+        ["enumerate", "--n", "14", "--avoid", "123", "--limit-seconds", "0.05"], capsys
+    )
+    first = itertools.islice(engine.enumerate_avoiders(14, [(1, 2, 3)]), printed)
+    assert lines == [format_perm(p) for p in first]
+
+
 def test_limit_seconds_aborts_classify(capsys):
     code, out, err = run_cli(
         ["classify", "--k", "3", "--size", "2", "--stat", "maj-des", "--nmax", "9",
@@ -196,7 +225,8 @@ def test_limit_seconds_aborts_classify(capsys):
     ["count", "--n", "13", "--avoid", "1324"],
     ["poly", "--stat", "majdes", "--n", "13", "--avoid", "1324", "--format", "json"],
     ["mahonian", "--left", "1324", "--right", "1234", "--n", "13"],
-], ids=["count", "poly", "mahonian"])
+    ["verify", "--suite", "paper", "--nmax", "9"],
+], ids=["count", "poly", "mahonian", "verify"])
 def test_limit_seconds_aborts_profiles(argv, capsys):
     code, out, err = run_cli(argv + ["--limit-seconds", "0"], capsys)
     assert code == 1
@@ -208,7 +238,9 @@ def test_count_overflow_exit_code(capsys):
     code, out, err = run_cli(["count", "--n", "36", "--avoid", "321"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("patstat: integer overflow")
+    # the polynomial's coefficients all fit; Catalan(36), their sum, does not
+    assert err == ("patstat: integer overflow: count 11959798385860453492 "
+                   "exceeds the signed 64-bit range\n")
 
 
 def test_progress_goes_to_stderr_only(capsys):

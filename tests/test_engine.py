@@ -58,12 +58,15 @@ def test_enumerate_matches_brute_filter():
                 pats,
                 n,
             )
-    # every S4 singleton one length further, from one scan of S_n per length
+    # every S4 singleton one length further, and every S4 pair and {S3, S4}
+    # pair, from one scan of S_n per length
+    s4_pairs = list(itertools.combinations(S4, 2)) + list(itertools.product(S3, S4))
     for n in range(8):
-        occurs = {q: patterns_of(q, 4) for q in itertools.permutations(range(1, n + 1))}
-        for p in S4:
-            avoiders = [q for q, found in occurs.items() if p not in found]
-            assert list(engine.enumerate_avoiders(n, (p,))) == avoiders, (p, n)
+        occurs = {q: patterns_of(q, 3) | patterns_of(q, 4)
+                  for q in itertools.permutations(range(1, n + 1))}
+        for pats in [(p,) for p in S4] + (s4_pairs if n <= 6 else []):
+            avoiders = [q for q, found in occurs.items() if found.isdisjoint(pats)]
+            assert list(engine.enumerate_avoiders(n, pats)) == avoiders, (pats, n)
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
@@ -114,8 +117,10 @@ def test_profile_statistics_match_independent_implementations():
         for n in range(7):
             _brute_profile(n, pats)
     _drawn_sets_match_brute_force()
-    # the search and perms' statistics, beyond the brute filter's reach; the
-    # empty set stops at n = 7, since S_9 alone would take most of the time
+    # beyond the brute filter's reach, enumeration shares the DP's rules, so
+    # this checks the DP's bookkeeping: slot packing, the descent shift and
+    # the reverse-complement maj map; the empty set stops at n = 7, since S_9
+    # through perms alone would take most of the time
     pattern_sets = [s for r in range(7) for s in itertools.combinations(S3, r)]
     for pats in pattern_sets:
         for n in range(10 if pats else 8):
