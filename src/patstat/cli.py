@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from . import engine, formulas, verify, words
 from .engine import AvoidanceQuery, SearchCancelled
 from .perms import format_perm, parse_pattern_set, parse_perm
-from .polynomials import QPoly, QTPoly
+from .polynomials import QPoly
 
 _POLY_STATS = ("inv", "maj", "majdes")
 

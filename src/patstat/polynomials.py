@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Mapping, Union
 
 _COEFF_BOUND = 1 << 63
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -56,7 +55,6 @@ def test_reversed_q_catalan_small():
 def test_both_catalan_recursions_agree():
     for n in range(11):
         ct = formulas.ct_poly(n)
-        assert formulas.i312_recursive(n) == ct
         assert formulas.c_poly(n) == ct.reverse(n)
         assert ct.eval_at_q1() == formulas.catalan(n)
 
@@ -173,10 +171,3 @@ def test_series_counts_at_q_t_one():
     s = formulas.series_expand("gf-231-312-321", 9)
     for n in range(10):
         assert s[n].eval_at(1, 1) == formulas.fibonacci(n)
-
-
-def test_fibonacci_binomial_bridge():
-    for n in range(13):
-        got = formulas.closed_form("inv-231-312-321", n).eval_at_q1()
-        assert got == formulas.fibonacci(n)
-        assert got == sum(math.comb(n - k, k) for k in range(n + 1))

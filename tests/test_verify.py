@@ -25,6 +25,28 @@ def test_conjecture_suite_passes():
     assert len(results) == 5
 
 
+@pytest.mark.parametrize(
+    "run, nmax",
+    [(verify.run_paper_suite, 3), (verify.run_conjecture_suite, 5)],
+    ids=["paper", "conjectures"],
+)
+def test_deadline_is_polled_before_each_case(run, nmax):
+    calls = 0
+
+    def should_stop():
+        nonlocal calls
+        calls += 1
+        return False
+
+    results = run(nmax, should_stop=should_stop)
+    assert calls >= sum(r.cases for r in results)
+    # a stop that fires inside the first check ends the run there
+    calls = 0
+    with pytest.raises(engine.SearchCancelled):
+        run(nmax, should_stop=lambda: should_stop() or calls > 3)
+    assert calls == 4
+
+
 def test_check_result_lines():
     results = verify.run_conjecture_suite(nmax=5)
     for r in results:
@@ -46,6 +68,6 @@ def test_trivial_inv_wilf_names_unseparated_orbits(monkeypatch):
     assert verify.conjecture_suite("trivial-inv-wilf", n_max=6).passed
     # a class that splits an orbit is a broken conjecture, not a small bound
     split = engine.EquivalenceReport("inv", 4, 1, 5, ((((1, 2, 4, 3),),),))
-    monkeypatch.setattr(engine, "classify", lambda *args: split)
+    monkeypatch.setattr(engine, "classify", lambda *args, **kwargs: split)
     rep = verify.conjecture_suite("trivial-inv-wilf", n_max=5)
     assert rep.failures == ("class ['1243'] != orbit ['1243', '2134']",)
