@@ -62,12 +62,8 @@ from .polynomials import (
     QPoly,
     QTPoly,
     TruncatedSeries,
-    eval_at_q1,
     pochhammer,
     q_int,
-    reverse_coefficients,
-    series_invert,
-    specialize,
 )
 from .words import (
     Word,

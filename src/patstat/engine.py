@@ -9,12 +9,13 @@ still be placed, so no avoider has the prefix.  The empty pattern occurs
 in every permutation and a length-1 pattern in every nonempty one, so
 those sets are settled before any state is built.
 
-Enumeration walks the states depth first, placing the free value of each
-allowed rank, so its output order is lexicographic in one-line notation,
-which is part of the contract.  Profiles (the inv polynomial and the joint
-maj/des polynomial) run the same rules level by level, carrying one
-polynomial pair per state rather than visiting the avoiders one by one
-(see _dp_profile).
+Enumeration walks the states depth first from one stack of pending
+placements, least rank first, and yields each avoider as it is found, so
+its output order is lexicographic in one-line notation, which is part of
+the contract.  Profiles (the inv polynomial and the joint maj/des
+polynomial) run the same rules level by level, carrying one polynomial
+pair per state rather than visiting the avoiders one by one (see
+_dp_profile).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from itertools import combinations, compress
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import Perm, all_perms, complement, format_pattern_set, perm, reverse
@@ -42,6 +44,10 @@ class SearchCancelled(RuntimeError):
 
 
 _STOP_CHECK_INTERVAL = 4096
+# enumeration reads the last _TAIL values of each avoider from a table per
+# state; of 2 to 5, 4 enumerated the benchmark's S3 sets fastest, and 5 was
+# slower on its small S4 sets
+_TAIL = 4
 
 
 def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
@@ -233,19 +239,17 @@ def enumerate_avoiders(
     # every nonempty one
     if () in pats or n and (1,) in pats:
         return
-    if n == 0:
-        yield ()
+    if n < 2:
+        # no longer pattern fits in fewer than two values
+        yield tuple(range(1, n + 1))
         return
     root, children = _transitions(n, pats)
     # per m: the children met so far of each state, and the copy moves
     memo: list[dict] = [{} for _ in range(n + 1)]
     steps: list[dict] = [{} for _ in range(n + 1)]
-    # the ranks r, 0 or 1, that a state with two free values may place
-    # first and still place the other one after
+    # per state with min(n, _TAIL) free values: the orders of those values
+    # that complete it, least first, as getters of index tuples into them
     ends: dict = {}
-    prefix = [0] * n
-    found: list[Perm] = []
-    ticker = 0
 
     def kids(state, m: int) -> list:
         known = memo[m]
@@ -254,42 +258,42 @@ def enumerate_avoiders(
             out = known[state] = children(state, m, steps[m])
         return out
 
-    def rec(state, m: int, free: list[int]) -> None:
-        nonlocal ticker
+    # Pending placements (state after it, values still free after it, value
+    # placed), least rank on top.  A popped value goes into the one shared
+    # prefix, whose earlier positions then hold the values of its ancestors.
+    pending: list = []
+    prefix = [0] * n
+    state, free = root, list(range(1, n + 1))
+    ticker = 0
+    while True:
         if should_stop is not None:
             ticker += 1
             if ticker >= _STOP_CHECK_INTERVAL:
                 ticker = 0
                 if should_stop():
                     raise SearchCancelled("enumeration stopped")
-        depth = n - m
-        if m > 2:
-            for child in kids(state, m):
+        m = len(free)
+        if m > _TAIL:
+            for child in reversed(kids(state, m)):
                 r = child[0]
-                prefix[depth] = free[r]
-                rec(child, m - 1, free[:r] + free[r + 1:])
-        elif m == 2:
-            # place both values at once rather than recursing for the last
-            ranks = ends.get(state)
-            if ranks is None:
-                ranks = ends[state] = [c[0] for c in kids(state, 2) if kids(c, 1)]
-            for r in ranks:
-                prefix[depth] = free[r]
-                prefix[depth + 1] = free[1 - r]
-                found.append(tuple(prefix))
-        elif m == 0 or kids(state, 1):  # the root's child has m < 2 only if n <= 2
-            prefix[depth:] = free
-            found.append(tuple(prefix))
-
-    # Stream one first-value subtree at a time so memory stays bounded by
-    # the largest subtree rather than the whole avoidance set.
-    free = list(range(1, n + 1))
-    for child in kids(root, n):
-        r = child[0]
-        prefix[0] = free[r]
-        found.clear()
-        rec(child, n - 1, free[:r] + free[r + 1:])
-        yield from found
+                pending.append((child, free[:r] + free[r + 1:], free[r]))
+        else:
+            tails = ends.get(state)
+            if tails is None:
+                # (indices placed, indices left, state after them), level by level
+                orders = [((), list(range(m)), state)]
+                for k in range(m, 0, -1):
+                    orders = [(t + (left[c[0]],), left[:c[0]] + left[c[0] + 1:], c)
+                              for t, left, s in orders for c in kids(s, k)]
+                tails = ends[state] = [itemgetter(*t) for t, _, _ in orders]
+            ticker += len(tails)  # a tick per avoider too, for a prompt deadline
+            head = tuple(prefix[:n - m])
+            for tail in tails:
+                yield head + tail(free)
+        if not pending:
+            return
+        state, free, value = pending.pop()
+        prefix[n - len(free) - 1] = value
 
 
 # ---------------------------------------------------------------------------

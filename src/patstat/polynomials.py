@@ -144,6 +144,7 @@ class QPoly:
         return QPoly(out)
 
     def eval_at_q1(self) -> int:
+        """Set q = 1, recovering the plain count."""
         return _checked(sum(self.coeffs), "count")
 
     def eval_at(self, q: Union[int, Fraction]) -> Union[int, Fraction]:
@@ -163,11 +164,6 @@ class QPoly:
             var = "" if i == 0 else ("q" if i == 1 else f"q^{i}")
             terms.append(_term_str(c, var))
         return _join_terms(terms)
-
-
-def reverse_coefficients(p: QPoly, n: int) -> QPoly:
-    """Reverse p's coefficients within degree C(n,2)."""
-    return p.reverse(n)
 
 
 def q_int(n: int) -> QPoly:
@@ -279,16 +275,6 @@ class QTPoly:
         return _join_terms(parts)
 
 
-def specialize(p: QTPoly) -> QPoly:
-    """Set t = 1 in a (q, t)-polynomial."""
-    return p.specialize_t1()
-
-
-def eval_at_q1(p: QPoly) -> int:
-    """Set q = 1, recovering the plain count."""
-    return p.eval_at_q1()
-
-
 # ---------------------------------------------------------------------------
 # truncated power series in x over QTPoly coefficients
 
@@ -372,10 +358,6 @@ class TruncatedSeries:
 
     def __str__(self) -> str:
         return "; ".join(f"x^{i}: {c}" for i, c in enumerate(self.coeffs))
-
-
-def series_invert(s: TruncatedSeries) -> TruncatedSeries:
-    return s.invert()
 
 
 def pochhammer(k: int, order: int, shift: int = 0) -> TruncatedSeries:

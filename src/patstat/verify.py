@@ -441,8 +441,10 @@ def _inv_symmetry_orbit(p: perms.Perm) -> tuple[perms.Perm, ...]:
 def _trivial_inv_wilf(n_max: int, pattern_length: int,
                       should_stop: Optional[Callable[[], bool]], **_) -> Outcomes:
     # singleton inversion classes should coincide with orbits under the
-    # inv-preserving symmetries
-    report = engine.classify(pattern_length, 1, "inv", n_max, should_stop=should_stop)
+    # inv-preserving symmetries; classify needs a bound of at least the
+    # pattern length
+    bound = max(n_max, pattern_length)
+    report = engine.classify(pattern_length, 1, "inv", bound, should_stop=should_stop)
     for cls in report.classes:
         members = tuple(sorted(s[0] for s in cls))
         # orbits[0] is the orbit of members[0], the least member
@@ -456,7 +458,7 @@ def _trivial_inv_wilf(n_max: int, pattern_length: int,
             # symmetry keeps orbits whole, so several orbits in one class
             # only means the bound is too small to tell them apart
             yield (f"class {names} joins orbits {', '.join(map(str, orbit_names))}: "
-                   f"not separated up to n_max={n_max}")
+                   f"not separated up to n_max={bound}")
         else:
             yield f"class {names} != orbit {orbit_names[0]}"
 
@@ -522,6 +524,8 @@ def conjecture_suite(
     """
     if name not in _CONJECTURES:
         raise ValueError(f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     outcomes = _CONJECTURES[name](
         n_max=n_max, pattern_length=pattern_length,
         max_inflation_length=max_inflation_length, parity_lengths=parity_lengths,
@@ -552,7 +556,7 @@ PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
     _check("counts-from-polynomials", lambda nmax: _counts_from_polynomials(min(nmax, 9))),
     _check("inv-polynomial-transport", lambda nmax: _inv_poly_transport(min(nmax, 8))),
     _check("maj-polynomial-complement", lambda nmax: _maj_poly_complement(min(nmax, 8))),
-    _check("classify-canonical-form", lambda nmax: _classify_stability(min(nmax, 8))),
+    _check("classify-canonical-form", lambda nmax: _classify_stability(max(3, min(nmax, 8)))),
     _check("closed-forms-vs-enumeration", lambda nmax: _catalog_against_enumeration(
         min(nmax, 9), min(nmax + 3, 12))),
     _check("q-catalan-recursions", lambda nmax: _q_catalan(min(nmax + 4, 12))),
@@ -571,6 +575,8 @@ PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
 def run_paper_suite(nmax: int = 8,
                     should_stop: Optional[Callable[[], bool]] = None) -> list[CheckResult]:
     """Every paper check in turn; should_stop is polled before each case."""
+    if nmax < 0:
+        raise ValueError("n_max must be nonnegative")
     return [fn(nmax, should_stop) for _, fn in PAPER_CHECKS]
 
 

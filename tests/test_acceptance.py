@@ -5,11 +5,9 @@ lines).
 """
 
 import itertools
-import math
 
 from patstat import engine, formulas, perms, verify, words
 from patstat.engine import AvoidanceQuery
-from patstat.polynomials import QPoly, QTPoly
 
 P = perms.parse_perm
 

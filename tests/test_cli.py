@@ -148,6 +148,23 @@ def test_verify_conjectures_small(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+def test_verify_below_the_pattern_length(capsys):
+    # the checks that classify raise their bound to the pattern length
+    for nmax in ("0", "1", "2"):
+        code, out, err = run_cli(["verify", "--suite", "paper", "--nmax", nmax], capsys)
+        assert (code, out.splitlines()[-1], err) == (0, "22/22 checks passed", "")
+    for nmax in ("0", "1", "2", "3"):
+        code, out, err = run_cli(["verify", "--suite", "conjectures", "--nmax", nmax], capsys)
+        assert (code, out.splitlines()[-1], err) == (1, "4/5 checks passed", "")
+        assert out.startswith("FAIL trivial-inv-wilf")
+        assert "not separated up to n_max=4;" in out
+    for suite in ("paper", "conjectures"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--suite", suite, "--nmax", "-1"])
+        assert info.value.code == 2
+        assert capsys.readouterr() == ("", "patstat: n_max must be nonnegative\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["poly", "--stat", "area", "--n", "3"])
@@ -202,7 +219,9 @@ def test_limit_seconds_keeps_streamed_text(capsys):
     )
     first = itertools.islice(itertools.permutations(range(1, 12)), printed)
     assert lines == [format_perm(p) for p in first]
-    # Av_14(123) starts with small first-value subtrees, so some get out in time
+    # each avoider is printed as it is found, so some precede the limit
+    assert printed > 0
+    # likewise for a set whose prefix states prune the walk
     lines, printed = _streamed_until_limit(
         ["enumerate", "--n", "14", "--avoid", "123", "--limit-seconds", "0.05"], capsys
     )

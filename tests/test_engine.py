@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -264,6 +265,18 @@ def test_cancellation():
         for _ in engine.enumerate_avoiders(9, (), should_stop=stop):
             pass
     assert calls[0] >= 1
+
+
+def test_enumeration_yields_before_listing_more():
+    # Av_10(empty) has 10! members; the first must come without holding others
+    tracemalloc.start()
+    try:
+        first = next(engine.enumerate_avoiders(10, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(1, 11))
+    assert peak < 2**20
 
 
 def test_profile_cancellation_caches_nothing():

@@ -1,0 +1,38 @@
+"""Every imported name is read somewhere in its module.
+
+No linter is assumed, so this scans the sources with ast: an import binds
+names, and a name that no expression of the module loads is unused.  The
+re-exports of a package's __init__.py and `from __future__` imports are
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "patstat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)} {hit}" for path in SOURCES if path.name != "__init__.py"
+             for hit in unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_scan_finds_an_unused_import():
+    tree = ast.parse("import math\nimport os.path\nfrom a import b as c\nos.sep\n")
+    assert unused_imports(tree) == ["line 1: math", "line 3: c"]

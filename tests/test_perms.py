@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from conftest import brute_avoiders, contains_brute
+from conftest import contains_brute
 from patstat import perms
 
 

@@ -2,17 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from patstat.polynomials import (
-    QPoly,
-    QTPoly,
-    TruncatedSeries,
-    eval_at_q1,
-    pochhammer,
-    q_int,
-    reverse_coefficients,
-    series_invert,
-    specialize,
-)
+from patstat.polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer, q_int
 
 
 def test_basic_products():
@@ -68,17 +58,17 @@ def test_overflow_detected_not_wrapped():
 
 def test_reverse_coefficients_examples():
     p = QPoly((1, 2, 1, 1))
-    assert reverse_coefficients(p, 3) == QPoly((1, 1, 2, 1))
-    assert reverse_coefficients(QPoly.one(), 0) == QPoly.one()
+    assert p.reverse(3) == QPoly((1, 1, 2, 1))
+    assert QPoly.one().reverse(0) == QPoly.one()
     with pytest.raises(ValueError):
-        reverse_coefficients(QPoly((1, 1)), 1)  # degree 1 > C(1,2) = 0
+        QPoly((1, 1)).reverse(1)  # degree 1 > C(1,2) = 0
 
 
 def test_specialize_and_eval():
     m3 = (QTPoly.one() + QTPoly.monomial(1, 1)) * (QTPoly.one() + QTPoly.monomial(2, 1))
-    assert specialize(m3) == QPoly((1, 1)) * QPoly((1, 0, 1))
-    assert eval_at_q1(specialize(m3)) == 4
-    assert eval_at_q1(QPoly.zero()) == 0
+    assert m3.specialize_t1() == QPoly((1, 1)) * QPoly((1, 0, 1))
+    assert m3.specialize_t1().eval_at_q1() == 4
+    assert QPoly.zero().eval_at_q1() == 0
     assert QPoly((1, 2, 3)).eval_at(Fraction(1, 2)) == Fraction(11, 4)
     assert QTPoly.monomial(2, 1, 3).eval_at(2, 5) == 60
 
@@ -122,10 +112,10 @@ def test_pochhammer_small_cases():
 
 def test_series_invert_geometric():
     geom = TruncatedSeries(3, (QTPoly.one(), QTPoly.monomial(0, 0, -1)))
-    assert series_invert(geom).coeffs == (QTPoly.one(),) * 4
-    assert series_invert(TruncatedSeries.one(4)) == TruncatedSeries.one(4)
+    assert geom.invert().coeffs == (QTPoly.one(),) * 4
+    assert TruncatedSeries.one(4).invert() == TruncatedSeries.one(4)
     with pytest.raises(ValueError):
-        series_invert(TruncatedSeries(2, (QTPoly.monomial(1, 0),)))
+        TruncatedSeries(2, (QTPoly.monomial(1, 0),)).invert()
 
 
 def _independent_inverse_x2():
