@@ -20,6 +20,7 @@ _dp_profile).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -65,7 +66,8 @@ class _CopyTables(NamedTuple):
     ext[j] = (indices i < j with pat[i] < pat[j], indices with pat[i] > pat[j]).
     order[j] lists the indices of pat[:j] by increasing value, and need[j][g]
     counts the entries of pat[j:] whose value falls in gap g of pat[:j]
-    (gap 0 below its least value, gap j above its greatest).
+    (gap 0 below its least value, gap j above its greatest).  moves maps (copy
+    set, r, m) to _step_copies's result, which depends on the pattern alone.
     """
 
     k: int
@@ -74,8 +76,18 @@ class _CopyTables(NamedTuple):
     need: tuple[tuple[int, ...], ...]
     # +1 if pat starts with its minimum, -1 with its maximum, else 0
     anchor: int
+    moves: dict
 
 
+# The tables of the _COPY_TABLE_PATTERNS patterns used last are kept (all of
+# S4 fits), each emptied at _COPY_MOVES_MAX moves: at about 310 bytes a move,
+# 2.5 MiB a table and 80 MiB in all (classify over S4 to n = 11 holds 30 MiB).
+# Half that cap made that classify as slow as recomputing every move.
+_COPY_TABLE_PATTERNS = 32
+_COPY_MOVES_MAX = 1 << 13
+
+
+@functools.lru_cache(maxsize=_COPY_TABLE_PATTERNS)
 def _copy_tables(pat: Perm) -> _CopyTables:
     k = len(pat)
     ext = tuple(
@@ -93,7 +105,7 @@ def _copy_tables(pat: Perm) -> _CopyTables:
         order.append(by_value)
         need.append(tuple(gaps))
     anchor = 1 if pat[0] == 1 else -1 if pat[0] == k else 0
-    return _CopyTables(k, ext, tuple(order), tuple(need), anchor)
+    return _CopyTables(k, ext, tuple(order), tuple(need), anchor, {})
 
 
 def _fits(cuts: tuple[int, ...], order: tuple[int, ...], need: tuple[int, ...], m: int) -> bool:
@@ -114,7 +126,7 @@ def _fits(cuts: tuple[int, ...], order: tuple[int, ...], need: tuple[int, ...], 
 def _step_copies(tables: _CopyTables, copies: frozenset, r: int, m: int) -> Optional[frozenset]:
     """The copies after placing the free value of rank r, or None if that
     placement leaves a free value completing a copy of the whole pattern."""
-    k, ext, order, need, anchor = tables
+    k, ext, order, need, anchor, _ = tables
     m1 = m - 1
     out = set()
     for t in copies:
@@ -144,9 +156,19 @@ def _step_copies(tables: _CopyTables, copies: frozenset, r: int, m: int) -> Opti
 
 def _step_all(longs: list[_CopyTables], copies: tuple[frozenset, ...], r: int,
               m: int) -> Optional[tuple[frozenset, ...]]:
+    """_step_copies for each pattern, read from the pattern's table, where a
+    move is stored once it is computed."""
     out = []
     for tables, held in zip(longs, copies):
-        step = _step_copies(tables, held, r, m)
+        moves = tables.moves
+        key = (held, r, m)
+        try:
+            step = moves[key]
+        except KeyError:
+            step = _step_copies(tables, held, r, m)
+            if len(moves) >= _COPY_MOVES_MAX:
+                moves.clear()
+            moves[key] = step
         if step is None:
             return None
         out.append(step)
@@ -167,10 +189,9 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
     in its completion gap kills the prefix, and an empty gap stays empty.
     Prefixes with equal states have the same completions.
 
-    Returns the root state and children(state, m, steps), the list of child
-    states in increasing r; a child's first field is its r.  steps caches
-    the copy moves of patterns of length >= 4; they depend on m, so each m
-    needs its own dict.  Patterns of length 0 and 1 are left to the caller.
+    Returns the root state and children(state, m), the list of child
+    states in increasing r; a child's first field is its r.  Patterns of
+    length 0 and 1 are left to the caller.
     """
     f12 = (1, 2) in patterns
     f21 = (2, 1) in patterns
@@ -185,7 +206,7 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
     track_mid = f213 or f231
     longs = [_copy_tables(p) for p in patterns if len(p) >= 4]
 
-    def children(state, m: int, steps: dict) -> list:
+    def children(state, m: int) -> list:
         _, min_cut, max_cut, mid, copies = state
         inner = (1 << (m - 1)) - 2 if m > 1 else 0  # gaps 1 .. m-2 of the child
         out = []
@@ -200,10 +221,7 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
                 continue
             moved = copies
             if longs:
-                try:
-                    moved = steps[copies, r]
-                except KeyError:
-                    moved = steps[copies, r] = _step_all(longs, copies, r, m)
+                moved = _step_all(longs, copies, r, m)
                 if moved is None:
                     continue
             out.append((
@@ -244,9 +262,8 @@ def enumerate_avoiders(
         yield tuple(range(1, n + 1))
         return
     root, children = _transitions(n, pats)
-    # per m: the children met so far of each state, and the copy moves
+    # per m: the children met so far of each state
     memo: list[dict] = [{} for _ in range(n + 1)]
-    steps: list[dict] = [{} for _ in range(n + 1)]
     # per state with min(n, _TAIL) free values: the orders of those values
     # that complete it, least first, as getters of index tuples into them
     ends: dict = {}
@@ -255,7 +272,7 @@ def enumerate_avoiders(
         known = memo[m]
         out = known.get(state)
         if out is None:
-            out = known[state] = children(state, m, steps[m])
+            out = known[state] = children(state, m)
         return out
 
     # Pending placements (state after it, values still free after it, value
@@ -351,12 +368,11 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
     for depth in range(n):
         m = n - depth
         nxt: dict = {}
-        steps: dict = {}  # (copies, r) -> the child's copies, None if it dies
         for state, (inv_x, md_x) in level.items():
             if should_stop is not None and should_stop():
                 raise SearchCancelled("profile stopped")
             prev_cut = state[0]
-            for child in children(state, m, steps):
+            for child in children(state, m):
                 r = child[0]
                 iv = inv_x << (slot * r)
                 mv = md_x << (slot * (depth + maj_span)) if r < prev_cut else md_x

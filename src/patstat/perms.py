@@ -85,9 +85,8 @@ def format_perm(p: Perm) -> str:
     """One-line text form: digits for n <= 9, comma-separated otherwise."""
     if not p:
         return "ε"
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
+    # one %-format of the tuple is about twice as fast as a str per entry
+    return ("%d" * len(p) if len(p) <= 9 else ",".join(["%d"] * len(p))) % tuple(p)
 
 
 def parse_pattern_set(text: str) -> tuple[Perm, ...]:

@@ -25,6 +25,7 @@ from .polynomials import QPoly, QTPoly, TruncatedSeries
 
 Outcome = Union[bool, str, tuple[Union[bool, str], ...]]
 Outcomes = Iterator[Outcome]
+Stop = Optional[Callable[[], bool]]
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ class CheckResult:
         return msg
 
 
-def _run(name: str, outcomes: Outcomes,
-         should_stop: Optional[Callable[[], bool]]) -> CheckResult:
+def _run(name: str, outcomes: Outcomes, should_stop: Stop) -> CheckResult:
     """Count one case per outcome and keep every failure message; should_stop
     is polled before each case."""
     failures: list[str] = []
@@ -187,14 +187,14 @@ def _series_inverse(rng: random.Random) -> Outcomes:
                or f"inverse round trip failed at order {order}")
 
 
-def _counts_from_polynomials(nmax: int) -> Outcomes:
+def _counts_from_polynomials(nmax: int, should_stop: Stop) -> Outcomes:
     ground = sorted(perms.all_perms(3))
     for size in range(len(ground) + 1):
         for subset in itertools.combinations(ground, size):
             for n in range(nmax + 1):
                 # the profile's polynomial at q = 1 against the search's leaves
-                poly_count = engine.stat_poly(n, subset, "inv").eval_at_q1()
-                yield (poly_count == sum(1 for _ in engine.enumerate_avoiders(n, subset))
+                count = engine.stat_poly(n, subset, "inv", should_stop).eval_at_q1()
+                yield (count == sum(1 for _ in engine.enumerate_avoiders(n, subset, should_stop))
                        or f"count mismatch for {perms.format_pattern_set(subset)} at n={n}")
 
 
@@ -206,33 +206,33 @@ def _patterns_s3_s4() -> list[perms.Perm]:
     return [p for k in (3, 4) for p in perms.all_perms(k)]
 
 
-def _inv_poly_transport(nmax: int) -> Outcomes:
+def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
     for pat in _patterns_s3_s4():
         for f in perms.SYMMETRIES:
             image = perms.apply_symmetry(f, pat)
             for n in range(nmax + 1):
-                left = engine.stat_poly(n, (image,), "inv")
-                base = engine.stat_poly(n, (pat,), "inv")
+                left = engine.stat_poly(n, (image,), "inv", should_stop)
+                base = engine.stat_poly(n, (pat,), "inv", should_stop)
                 want = base if f in perms.INV_PRESERVING else base.reverse(n)
                 yield (left == want
                        or f"inv transport fails: {f}({perms.format_perm(pat)}) at n={n}")
 
 
-def _maj_poly_complement(nmax: int) -> Outcomes:
+def _maj_poly_complement(nmax: int, should_stop: Stop) -> Outcomes:
     for pat in _patterns_s3_s4():
         image = perms.complement(pat)
         for n in range(nmax + 1):
-            left = engine.stat_poly(n, (image,), "maj")
-            want = engine.stat_poly(n, (pat,), "maj").reverse(n)
+            left = engine.stat_poly(n, (image,), "maj", should_stop)
+            want = engine.stat_poly(n, (pat,), "maj", should_stop).reverse(n)
             yield (left == want
                    or f"maj complement transport fails at {perms.format_perm(pat)}, n={n}")
 
 
-def _classify_stability(nmax: int) -> Outcomes:
+def _classify_stability(nmax: int, should_stop: Stop) -> Outcomes:
     for stat in ("inv", "maj"):
         for size in (1, 2):
-            rep = engine.classify(3, size, stat, nmax)
-            again = engine.classify(3, size, stat, nmax)
+            rep = engine.classify(3, size, stat, nmax, should_stop=should_stop)
+            again = engine.classify(3, size, stat, nmax, should_stop=should_stop)
             yield rep == again or f"classify not deterministic ({stat}, size {size})"
             yield (rep.classes == tuple(sorted(tuple(sorted(c)) for c in rep.classes))
                    or f"classify output not canonical ({stat}, size {size})")
@@ -244,26 +244,26 @@ def _classify_stability(nmax: int) -> Outcomes:
 # oracle agreement
 
 
-def _catalog_against_enumeration(nmax: int, inv_nmax: int) -> Outcomes:
+def _catalog_against_enumeration(nmax: int, inv_nmax: int, should_stop: Stop) -> Outcomes:
     for fid, entry in formulas.CLOSED_FORMS.items():
         bound = inv_nmax if entry.kind == "q" else nmax
         for pats in entry.pattern_sets:
             for n in range(bound + 1):
                 if entry.kind == "q":
-                    want = engine.stat_poly(n, pats, "inv")
+                    want = engine.stat_poly(n, pats, "inv", should_stop)
                 else:
-                    want = engine.maj_des_poly(n, pats)
+                    want = engine.maj_des_poly(n, pats, should_stop)
                 yield (formulas.closed_form(fid, n) == want
                        or f"{fid} disagrees with enumeration on "
                        f"{perms.format_pattern_set(pats)} at n={n}")
 
 
-def _q_catalan(nmax: int) -> Outcomes:
+def _q_catalan(nmax: int, should_stop: Stop) -> Outcomes:
     for n in range(nmax + 1):
         yield (
-            formulas.ct_poly(n) == engine.stat_poly(n, ((3, 1, 2),), "inv")
+            formulas.ct_poly(n) == engine.stat_poly(n, ((3, 1, 2),), "inv", should_stop)
             or f"reversed q-Catalan != enumeration at n={n}",
-            formulas.c_poly(n) == engine.stat_poly(n, ((1, 3, 2),), "inv")
+            formulas.c_poly(n) == engine.stat_poly(n, ((1, 3, 2),), "inv", should_stop)
             or f"q-Catalan != enumeration at n={n}",
         )
 
@@ -277,7 +277,7 @@ def _product_form_bridge(nmax: int) -> Outcomes:
         yield left.specialize_t1() == right or f"product forms disagree at n={n}"
 
 
-def _series_coefficients(order: int) -> Outcomes:
+def _series_coefficients(order: int, should_stop: Stop) -> Outcomes:
     targets = {
         "gf-231-321": ((2, 3, 1), (3, 2, 1)),
         "gf-312-321": ((3, 1, 2), (3, 2, 1)),
@@ -286,7 +286,7 @@ def _series_coefficients(order: int) -> Outcomes:
     for sid, pats in targets.items():
         s = formulas.series_expand(sid, order)
         for n in range(order + 1):
-            yield (s[n] == engine.maj_des_poly(n, pats)
+            yield (s[n] == engine.maj_des_poly(n, pats, should_stop)
                    or f"{sid} coefficient of x^{n} disagrees")
 
 
@@ -350,7 +350,7 @@ def _image_characterizations(max_len: int) -> Outcomes:
                    or f"{label} fails at length {n}")
 
 
-def _word_transport(nmax: int) -> Outcomes:
+def _word_transport(nmax: int, should_stop: Stop) -> Outcomes:
     """Summing q^maj t^des over each word set must reproduce the avoidance
     polynomial carried over by the descent-preserving bijections."""
     targets = (
@@ -365,11 +365,11 @@ def _word_transport(nmax: int) -> Outcomes:
                 if member(v):
                     s = words.word_stats(v)
                     acc[(s.maj, s.des)] = acc.get((s.maj, s.des), 0) + 1
-            yield (QTPoly.from_counts(acc) == engine.maj_des_poly(n, pats)
+            yield (QTPoly.from_counts(acc) == engine.maj_des_poly(n, pats, should_stop)
                    or f"word sum != avoidance polynomial ({label}, n={n})")
 
 
-def _bijection_suite(nmax: int, partition_nmax: int) -> Outcomes:
+def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outcomes:
     for n in range(nmax + 1):
         for pats, fwd, back, member in (
             (((2, 3, 1), (3, 2, 1)), words.to_word_231_321, words.from_word_231_321,
@@ -379,7 +379,7 @@ def _bijection_suite(nmax: int, partition_nmax: int) -> Outcomes:
             (((2, 3, 1), (3, 1, 2), (3, 2, 1)), words.to_word_231_312_321,
              words.from_word_231_312_321, words.in_sparse_set),
         ):
-            avoiders = list(engine.enumerate_avoiders(n, pats))
+            avoiders = list(engine.enumerate_avoiders(n, pats, should_stop))
             images = [fwd(p) for p in avoiders]
             target = [w for w in itertools.product((0, 1), repeat=n) if member(w)]
             if sorted(images) != sorted(target):
@@ -390,9 +390,9 @@ def _bijection_suite(nmax: int, partition_nmax: int) -> Outcomes:
             else:
                 yield (all(back(w) == p for p, w in zip(avoiders, images))
                        or f"inverse fails for {pats} at n={n}")
-        avoiders = list(engine.enumerate_avoiders(n, ((1, 3, 2),)))
+        avoiders = list(engine.enumerate_avoiders(n, ((1, 3, 2),), should_stop))
         images = [words.map_132_to_231(p) for p in avoiders]
-        if sorted(images) != list(engine.enumerate_avoiders(n, ((2, 3, 1),))):
+        if sorted(images) != list(engine.enumerate_avoiders(n, ((2, 3, 1),), should_stop)):
             yield f"descent transport map not onto at n={n}"
         elif any(perms.descent_set(p) != perms.descent_set(t)
                  for p, t in zip(avoiders, images)):
@@ -407,7 +407,7 @@ def _bijection_suite(nmax: int, partition_nmax: int) -> Outcomes:
             (((1, 3, 2), (2, 3, 1)), words.prefix_partition_132_231,
              words.from_prefix_partition_132_231, "inv"),
         ):
-            avoiders = list(engine.enumerate_avoiders(n, pats))
+            avoiders = list(engine.enumerate_avoiders(n, pats, should_stop))
             images = [fwd(p) for p in avoiders]
             ground = range(n - 1, 0, -1)
             target = [
@@ -438,8 +438,7 @@ def _inv_symmetry_orbit(p: perms.Perm) -> tuple[perms.Perm, ...]:
     return tuple(sorted({perms.apply_symmetry(f, p) for f in perms.INV_PRESERVING}))
 
 
-def _trivial_inv_wilf(n_max: int, pattern_length: int,
-                      should_stop: Optional[Callable[[], bool]], **_) -> Outcomes:
+def _trivial_inv_wilf(n_max: int, pattern_length: int, should_stop: Stop, **_) -> Outcomes:
     # singleton inversion classes should coincide with orbits under the
     # inv-preserving symmetries; classify needs a bound of at least the
     # pattern length
@@ -463,40 +462,41 @@ def _trivial_inv_wilf(n_max: int, pattern_length: int,
             yield f"class {names} != orbit {orbit_names[0]}"
 
 
-def _maj_polys_agree(n_max: int, left: perms.Perm, right: perms.Perm,
+def _maj_polys_agree(n_max: int, left: perms.Perm, right: perms.Perm, should_stop: Stop,
                      note: str = "") -> Outcomes:
     for n in range(n_max + 1):
-        yield (engine.stat_poly(n, (left,), "maj") == engine.stat_poly(n, (right,), "maj")
+        yield (engine.stat_poly(n, (left,), "maj", should_stop)
+               == engine.stat_poly(n, (right,), "maj", should_stop)
                or f"maj polynomials differ at n={n} for "
                f"{perms.format_perm(left)} vs {perms.format_perm(right)}{note}")
 
 
-def _inflation_maj(n_max: int, max_inflation_length: int, **_) -> Outcomes:
+def _inflation_maj(n_max: int, max_inflation_length: int, should_stop: Stop, **_) -> Outcomes:
     for total in range(1, max_inflation_length + 1):
         for m in range(total):
             k = total - 1 - m
             comps = (tuple(range(1, m + 1)), (1,), tuple(range(k, 0, -1)))
             yield from _maj_polys_agree(
                 n_max, perms.inflate((1, 3, 2), comps), perms.inflate((2, 3, 1), comps),
-                f" (m={m}, k={k})")
+                should_stop, f" (m={m}, k={k})")
 
 
-def _sporadic_maj(n_max: int, **_) -> Outcomes:
+def _sporadic_maj(n_max: int, should_stop: Stop, **_) -> Outcomes:
     for base, *others in (((1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3)),
                           ((3, 1, 4, 2), (3, 2, 4, 1), (4, 1, 3, 2))):
         for other in others:
-            yield from _maj_polys_agree(n_max, base, other)
+            yield from _maj_polys_agree(n_max, base, other, should_stop)
 
 
-def _i321_recursion(n_max: int, **_) -> Outcomes:
+def _i321_recursion(n_max: int, should_stop: Stop, **_) -> Outcomes:
     for n in range(n_max + 1):
-        yield (formulas.i321_conjectured(n) == engine.stat_poly(n, ((3, 2, 1),), "inv")
+        yield (formulas.i321_conjectured(n) == engine.stat_poly(n, ((3, 2, 1),), "inv", should_stop)
                or f"recursion disagrees with brute force at n={n}")
 
 
-def _maj_parity(parity_lengths: tuple[int, ...], **_) -> Outcomes:
+def _maj_parity(parity_lengths: tuple[int, ...], should_stop: Stop, **_) -> Outcomes:
     for n in parity_lengths:
-        prof = formulas.parity_profile(engine.stat_poly(n, ((3, 2, 1),), "maj"))
+        prof = formulas.parity_profile(engine.stat_poly(n, ((3, 2, 1),), "maj", should_stop))
         yield prof.holds or f"maj parity fails at n={n}: odd exponents {prof.odd_exponents}"
 
 
@@ -516,7 +516,7 @@ def conjecture_suite(
     pattern_length: int = 4,
     max_inflation_length: int = 6,
     parity_lengths: tuple[int, ...] = (1, 3, 7),
-    should_stop: Optional[Callable[[], bool]] = None,
+    should_stop: Stop = None,
 ) -> CheckResult:
     """Re-verify one conjecture empirically inside the given bounds.
 
@@ -538,50 +538,48 @@ def conjecture_suite(
 
 
 def _check(name: str,
-           outcomes: Callable[[int], Outcomes]) -> tuple[str, Callable[..., CheckResult]]:
-    """A PAPER_CHECKS entry: fn(nmax, should_stop=None) runs outcomes(nmax)."""
-    return name, lambda nmax, should_stop=None: _run(name, outcomes(nmax), should_stop)
+           outcomes: Callable[[int, Stop], Outcomes]) -> tuple[str, Callable[..., CheckResult]]:
+    """A PAPER_CHECKS entry: fn(nmax, should_stop=None) runs outcomes(nmax, should_stop),
+    which hands should_stop on to the engine, so that a long case stops inside it."""
+    return name, lambda n, should_stop=None: _run(name, outcomes(n, should_stop), should_stop)
 
 
 PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
-    _check("inv-under-symmetries", lambda nmax: _inv_symmetry(min(nmax, 7))),
-    _check("maj-under-complement", lambda nmax: _maj_complement(min(nmax, 7))),
-    _check("containment-under-symmetries", lambda nmax: _containment_transport(min(nmax, 6))),
-    _check("symmetry-group-law", lambda nmax: _symmetry_group_law(min(nmax, 5))),
-    _check("inflation-laws", lambda nmax: _inflation_laws(random.Random(20120405))),
-    _check("polynomial-ring-axioms", lambda nmax: _ring_axioms(random.Random(97))),
+    _check("inv-under-symmetries", lambda n, _: _inv_symmetry(min(n, 7))),
+    _check("maj-under-complement", lambda n, _: _maj_complement(min(n, 7))),
+    _check("containment-under-symmetries", lambda n, _: _containment_transport(min(n, 6))),
+    _check("symmetry-group-law", lambda n, _: _symmetry_group_law(min(n, 5))),
+    _check("inflation-laws", lambda n, _: _inflation_laws(random.Random(20120405))),
+    _check("polynomial-ring-axioms", lambda n, _: _ring_axioms(random.Random(97))),
     _check("coefficient-reversal-involution",
-           lambda nmax: _coefficient_reversal(random.Random(11))),
-    _check("series-inverse-roundtrip", lambda nmax: _series_inverse(random.Random(13))),
-    _check("counts-from-polynomials", lambda nmax: _counts_from_polynomials(min(nmax, 9))),
-    _check("inv-polynomial-transport", lambda nmax: _inv_poly_transport(min(nmax, 8))),
-    _check("maj-polynomial-complement", lambda nmax: _maj_poly_complement(min(nmax, 8))),
-    _check("classify-canonical-form", lambda nmax: _classify_stability(max(3, min(nmax, 8)))),
-    _check("closed-forms-vs-enumeration", lambda nmax: _catalog_against_enumeration(
-        min(nmax, 9), min(nmax + 3, 12))),
-    _check("q-catalan-recursions", lambda nmax: _q_catalan(min(nmax + 4, 12))),
-    _check("product-form-bridge", lambda nmax: _product_form_bridge(min(nmax + 4, 12))),
-    _check("series-vs-enumeration", lambda nmax: _series_coefficients(min(nmax + 2, 10))),
-    _check("fibonacci-bridge", lambda nmax: _fibonacci_bridge(min(nmax + 4, 12))),
-    _check("run-rearrangement-bijection", lambda nmax: _foata_properties(min(nmax + 4, 12))),
-    _check("durfee-roundtrip", lambda nmax: _durfee_roundtrip(min(nmax + 4, 12))),
-    _check("image-characterizations",
-           lambda nmax: _image_characterizations(min(nmax + 4, 12))),
-    _check("word-generating-functions", lambda nmax: _word_transport(min(nmax + 2, 10))),
-    _check("bijection-suite", lambda nmax: _bijection_suite(min(nmax, 8), min(nmax + 1, 9))),
+           lambda n, _: _coefficient_reversal(random.Random(11))),
+    _check("series-inverse-roundtrip", lambda n, _: _series_inverse(random.Random(13))),
+    _check("counts-from-polynomials", lambda n, stop: _counts_from_polynomials(min(n, 9), stop)),
+    _check("inv-polynomial-transport", lambda n, stop: _inv_poly_transport(min(n, 8), stop)),
+    _check("maj-polynomial-complement", lambda n, stop: _maj_poly_complement(min(n, 8), stop)),
+    _check("classify-canonical-form", lambda n, stop: _classify_stability(max(3, min(n, 8)), stop)),
+    _check("closed-forms-vs-enumeration", lambda n, stop: _catalog_against_enumeration(
+        min(n, 9), min(n + 3, 12), stop)),
+    _check("q-catalan-recursions", lambda n, stop: _q_catalan(min(n + 4, 12), stop)),
+    _check("product-form-bridge", lambda n, _: _product_form_bridge(min(n + 4, 12))),
+    _check("series-vs-enumeration", lambda n, stop: _series_coefficients(min(n + 2, 10), stop)),
+    _check("fibonacci-bridge", lambda n, _: _fibonacci_bridge(min(n + 4, 12))),
+    _check("run-rearrangement-bijection", lambda n, _: _foata_properties(min(n + 4, 12))),
+    _check("durfee-roundtrip", lambda n, _: _durfee_roundtrip(min(n + 4, 12))),
+    _check("image-characterizations", lambda n, _: _image_characterizations(min(n + 4, 12))),
+    _check("word-generating-functions", lambda n, stop: _word_transport(min(n + 2, 10), stop)),
+    _check("bijection-suite", lambda n, stop: _bijection_suite(min(n, 8), min(n + 1, 9), stop)),
 )
 
 
-def run_paper_suite(nmax: int = 8,
-                    should_stop: Optional[Callable[[], bool]] = None) -> list[CheckResult]:
+def run_paper_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
     """Every paper check in turn; should_stop is polled before each case."""
     if nmax < 0:
         raise ValueError("n_max must be nonnegative")
     return [fn(nmax, should_stop) for _, fn in PAPER_CHECKS]
 
 
-def run_conjecture_suite(nmax: int = 8,
-                         should_stop: Optional[Callable[[], bool]] = None) -> list[CheckResult]:
+def run_conjecture_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
     """Every conjecture check in turn; should_stop is polled before each case."""
     return [conjecture_suite(name, n_max=min(nmax, 8), should_stop=should_stop)
             for name in CONJECTURE_NAMES]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -59,15 +60,82 @@ def test_enumerate_matches_brute_filter():
                 pats,
                 n,
             )
-    # every S4 singleton one length further, and every S4 pair and {S3, S4}
-    # pair, from one scan of S_n per length
-    s4_pairs = list(itertools.combinations(S4, 2)) + list(itertools.product(S3, S4))
-    for n in range(8):
+    # every {S3, S4} pair from one scan of S_n per length; S4 singletons and
+    # pairs are in test_copy_tables_do_not_depend_on_query_order
+    for n in range(7):
         occurs = {q: patterns_of(q, 3) | patterns_of(q, 4)
                   for q in itertools.permutations(range(1, n + 1))}
-        for pats in [(p,) for p in S4] + (s4_pairs if n <= 6 else []):
+        for pats in itertools.product(S3, S4):
             avoiders = [q for q, found in occurs.items() if found.isdisjoint(pats)]
             assert list(engine.enumerate_avoiders(n, pats)) == avoiders, (pats, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _s4_brute(max_n):
+    """{(n, pats): (avoiders, inv poly, maj/des poly)} for every S4 singleton
+    and S4 pair at n <= max_n, from one scan of S_n per length."""
+    want = {}
+    for n in range(max_n + 1):
+        scan = {q: patterns_of(q, 4) for q in itertools.permutations(range(1, n + 1))}
+        avoid = {p: {q for q, found in scan.items() if p not in found} for p in S4}
+        inv = {q: inv_brute(q) for q in scan}
+        majdes = {q: (maj_brute(q), des_brute(q)) for q in scan}
+        for pats in [(p,) for p in S4] + list(itertools.combinations(S4, 2)):
+            avoiders = sorted(set.intersection(*(avoid[p] for p in pats)))
+            invs = Counter(map(inv.__getitem__, avoiders))
+            want[n, pats] = (avoiders, QPoly([invs[i] for i in range(math.comb(n, 2) + 1)]),
+                             QTPoly.from_counts(Counter(map(majdes.__getitem__, avoiders))))
+    return want
+
+
+def _query(n, pats):
+    """Enumeration and profile of one set, past the profile cache."""
+    prof = engine._dp_profile(n, pats, None)
+    return list(engine.enumerate_avoiders(n, pats)), prof.inv_poly, prof.majdes_poly
+
+
+def test_copy_tables_do_not_depend_on_query_order():
+    # the pattern tables outlive a query, so a set must get the same answer
+    # whether its tables start empty or were filled by other sets first
+    want = _s4_brute(7)
+    keys = list(want)
+    for key in keys:
+        engine._copy_tables.cache_clear()
+        assert _query(*key) == want[key], key
+    random.Random(10).shuffle(keys)
+    for key in keys:
+        assert _query(*key) == want[key], key
+
+
+def test_cancelled_profile_keeps_only_complete_moves():
+    pats = ((1, 3, 2, 4), (2, 4, 1, 3))
+    flipped = tuple(perms.complement(perms.reverse(p)) for p in pats)
+    for k in (1, 10, 100):
+        engine._copy_tables.cache_clear()
+        polls = 0
+
+        def stop():
+            nonlocal polls
+            polls += 1
+            return polls >= k
+
+        with pytest.raises(SearchCancelled):
+            engine._dp_profile(7, pats, stop)
+        assert polls == k
+        for p in pats + flipped:
+            tables = engine._copy_tables(p)
+            for (held, r, m), step in tables.moves.items():
+                assert engine._step_copies(tables, held, r, m) == step
+        assert _query(7, pats) == _s4_brute(7)[7, pats]
+
+
+def test_full_tables_are_emptied_and_refilled(monkeypatch):
+    monkeypatch.setattr(engine, "_COPY_MOVES_MAX", 16)
+    engine._copy_tables.cache_clear()
+    for pats in [((1, 3, 2, 4),), ((1, 3, 2, 4), (2, 4, 1, 3)), ((1, 2, 3, 4), (4, 3, 2, 1))]:
+        assert _query(7, pats) == _s4_brute(7)[7, pats]
+        assert all(len(engine._copy_tables(p).moves) <= 16 for p in S4)
+    engine._copy_tables.cache_clear()
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
@@ -122,14 +190,12 @@ def test_profile_statistics_match_independent_implementations():
     # this checks the DP's bookkeeping: slot packing, the descent shift and
     # the reverse-complement maj map; the empty set stops at n = 7, since S_9
     # through perms alone would take most of the time
+    # (S4 singletons are checked against brute force to n = 7 in
+    # test_copy_tables_do_not_depend_on_query_order)
     pattern_sets = [s for r in range(7) for s in itertools.combinations(S3, r)]
     for pats in pattern_sets:
         for n in range(10 if pats else 8):
             _check_profile(n, pats, list(engine.enumerate_avoiders(n, pats)),
-                           perms.inv, perms.maj, perms.des)
-    for p in S4:
-        for n in range(8):
-            _check_profile(n, (p,), list(engine.enumerate_avoiders(n, (p,))),
                            perms.inv, perms.maj, perms.des)
 
 
@@ -314,6 +380,21 @@ def test_count_is_checked_against_64_bits():
     assert max(poly.coeffs) < 2**63 < catalan(36)
     with pytest.raises(OverflowError):
         engine.count_avoiders(36, ((3, 2, 1),))
+
+
+def test_largest_accepted_n_stays_under_an_rss_cap():
+    # 1324 at n = 13, the largest S4 profile the ROADMAP times, peaks at
+    # about 30 MiB for the whole process, and at about 40 MiB when its
+    # pattern table is not emptied at engine._COPY_MOVES_MAX moves.  Linux
+    # carries ru_maxrss over from the forking process (pytest, here), so
+    # the peak is read as VmHWM, which starts afresh with the new program.
+    code = ("from patstat import engine; "
+            "assert engine.count_avoiders(13, [(1, 3, 2, 4)]) == 173453058; "
+            "print(*[line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 36 * 1024  # kB
 
 
 def test_import_does_not_load_verify():

@@ -2,6 +2,8 @@
 at its full documented range, so the identities it re-derives need no
 second exhaustive test elsewhere."""
 
+import math
+
 import pytest
 
 from patstat import engine, verify
@@ -45,6 +47,25 @@ def test_deadline_is_polled_before_each_case(run, nmax):
     with pytest.raises(engine.SearchCancelled):
         run(nmax, should_stop=lambda: should_stop() or calls > 3)
     assert calls == 4
+
+
+def test_a_long_case_stops_inside_the_engine(monkeypatch):
+    # counts-from-polynomials enumerates the 9! members of Av_9() in one case;
+    # a stop that fires once they start coming must end that enumeration
+    enumerate_avoiders = engine.enumerate_avoiders
+    seen = 0
+
+    def counted(n, patterns, should_stop=None):
+        nonlocal seen
+        for p in enumerate_avoiders(n, patterns, should_stop):
+            seen += n == 9 and not patterns
+            yield p
+
+    monkeypatch.setattr(engine, "enumerate_avoiders", counted)
+    check = dict(verify.PAPER_CHECKS)["counts-from-polynomials"]
+    with pytest.raises(engine.SearchCancelled):
+        check(9, should_stop=lambda: seen > 0)
+    assert 0 < seen < math.factorial(9)
 
 
 def test_check_result_lines():
