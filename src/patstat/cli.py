@@ -9,6 +9,7 @@ machine-clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -58,7 +59,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="abort cleanly after this many seconds")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="patstat",
         description="Statistic generating polynomials over pattern-avoiding permutations",

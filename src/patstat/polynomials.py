@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 _COEFF_BOUND = 1 << 63
 
@@ -177,6 +177,18 @@ def q_int(n: int) -> QPoly:
 # bivariate polynomials in q and t
 
 
+def _sum_of_products(pairs: Iterable[tuple["QTPoly", "QTPoly"]], sign: int = 1) -> "QTPoly":
+    """sign * (sum of a * b over the pairs), accumulated in one dict and built once."""
+    acc: dict[tuple[int, int], int] = {}
+    for a, b in pairs:
+        for qa, ta, ca in a.terms:
+            ca *= sign
+            for qb, tb, cb in b.terms:
+                key = (ta + tb, qa + qb)
+                acc[key] = acc.get(key, 0) + ca * cb
+    return QTPoly._from_acc(acc)
+
+
 @dataclass(frozen=True, slots=True)
 class QTPoly:
     """Sparse integer polynomial in q and t.
@@ -192,14 +204,18 @@ class QTPoly:
         for qe, te, c in self.terms:
             if qe < 0 or te < 0:
                 raise ValueError("exponents must be nonnegative")
-            key = (int(qe), int(te))
+            key = (int(te), int(qe))
             acc[key] = acc.get(key, 0) + int(c)
-        cleaned = tuple(
-            (qe, te, _checked(c))
-            for (qe, te), c in sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            if c != 0
-        )
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", QTPoly._from_acc(acc).terms)
+
+    @staticmethod
+    def _from_acc(acc: dict[tuple[int, int], int]) -> "QTPoly":
+        """The one builder: from a {(t_exp, q_exp): coeff} dict with nonnegative int
+        exponents, sort by (t_exp, q_exp), drop zeros and check each coefficient."""
+        p = object.__new__(QTPoly)
+        terms = tuple((qe, te, _checked(c)) for (te, qe), c in sorted(acc.items()) if c)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     @staticmethod
     def zero() -> "QTPoly":
@@ -216,31 +232,36 @@ class QTPoly:
     @staticmethod
     def from_counts(counts: Mapping[tuple[int, int], int]) -> "QTPoly":
         """Build from a {(q_exp, t_exp): coeff} mapping."""
-        return QTPoly(tuple((qe, te, c) for (qe, te), c in counts.items()))
+        if any(qe < 0 or te < 0 for qe, te in counts):
+            raise ValueError("exponents must be nonnegative")
+        return QTPoly._from_acc({(te, qe): c for (qe, te), c in counts.items()})
 
     @staticmethod
     def from_qpoly(p: QPoly, t_exp: int = 0) -> "QTPoly":
-        return QTPoly(tuple((i, t_exp, c) for i, c in enumerate(p.coeffs) if c))
+        if t_exp < 0:
+            raise ValueError("exponents must be nonnegative")
+        return QTPoly._from_acc({(t_exp, i): c for i, c in enumerate(p.coeffs)})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __add__(self, other: "QTPoly") -> "QTPoly":
-        return QTPoly(self.terms + other.terms)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "QTPoly") -> "QTPoly":
-        return QTPoly(self.terms + tuple((qe, te, -c) for qe, te, c in other.terms))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "QTPoly", sign: int) -> "QTPoly":
+        acc = {(te, qe): c for qe, te, c in self.terms}
+        for qe, te, c in other.terms:
+            acc[te, qe] = acc.get((te, qe), 0) + sign * c
+        return QTPoly._from_acc(acc)
 
     def __mul__(self, other: "QTPoly") -> "QTPoly":
-        acc: dict[tuple[int, int], int] = {}
-        for qa, ta, ca in self.terms:
-            for qb, tb, cb in other.terms:
-                key = (qa + qb, ta + tb)
-                acc[key] = acc.get(key, 0) + ca * cb
-        return QTPoly.from_counts(acc)
+        return _sum_of_products(((self, other),))
 
     def __rmul__(self, scalar: int) -> "QTPoly":
-        return QTPoly(tuple((qe, te, scalar * c) for qe, te, c in self.terms))
+        return QTPoly._from_acc({(te, qe): scalar * c for qe, te, c in self.terms})
 
     def __pow__(self, exponent: int) -> "QTPoly":
         return _power(self, exponent, QTPoly.one())
@@ -249,7 +270,7 @@ class QTPoly:
         """The substitution t -> q^j t, sending q^a t^b to q^(a+jb) t^b."""
         if j < 0:
             raise ValueError("power must be nonnegative")
-        return QTPoly(tuple((qe + j * te, te, c) for qe, te, c in self.terms))
+        return QTPoly._from_acc({(te, qe + j * te): c for qe, te, c in self.terms})
 
     def specialize_t1(self) -> QPoly:
         """Set t = 1, collapsing onto a univariate q-polynomial."""
@@ -313,16 +334,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        out = [QTPoly.zero()] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries(n, tuple(
+            _sum_of_products(zip(self.coeffs[: m + 1], other.coeffs[m::-1])) for m in range(n + 1)
+        ))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         return _power(self, exponent, TruncatedSeries.one(self.order))
@@ -344,13 +358,9 @@ class TruncatedSeries:
         if self.coeffs[0] != QTPoly.one():
             raise ValueError("series inversion needs a unit constant term")
         n = self.order
-        out = [QTPoly.one()] + [QTPoly.zero()] * n
+        out = [QTPoly.one()]
         for m in range(1, n + 1):
-            acc = QTPoly.zero()
-            for i in range(1, m + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[m - i]
-            out[m] = (-1) * acc
+            out.append(_sum_of_products(zip(self.coeffs[1 : m + 1], reversed(out)), -1))
         return TruncatedSeries(n, tuple(out))
 
     def to_json(self) -> list[list[dict[str, int]]]:

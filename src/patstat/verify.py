@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import engine, formulas, perms, words
 from .polynomials import QPoly, QTPoly, TruncatedSeries
@@ -62,6 +62,14 @@ def _run(name: str, outcomes: Outcomes, should_stop: Stop) -> CheckResult:
         for part in outcome if isinstance(outcome, tuple) else (outcome,):
             if part is not True:
                 failures.append(part)
+
+
+def _polled(items: Iterable, should_stop: Stop) -> Iterator:
+    """items, polling should_stop before every 256th: for a long pass within one case."""
+    for i, item in enumerate(items):
+        if should_stop is not None and i % 256 == 0 and should_stop():
+            raise engine.SearchCancelled("verification stopped")
+        yield item
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +337,7 @@ def _durfee_roundtrip(max_len: int) -> Outcomes:
         )
 
 
-def _image_characterizations(max_len: int) -> Outcomes:
+def _image_characterizations(max_len: int, should_stop: Stop) -> Outcomes:
     # the word set the bijection starts from, the claimed image, its name
     sets = (
         (words.in_start_one_set, lambda w: all(p < words.durfee(w) for p in words.beta_of(w)),
@@ -339,7 +347,7 @@ def _image_characterizations(max_len: int) -> Outcomes:
          "empty-right-part image characterization"),
     )
     images: list[dict[int, set]] = [{} for _ in sets]
-    for v in _words_up_to(max_len):
+    for v in _polled(_words_up_to(max_len), should_stop):
         for (member, _, _), by_len in zip(sets, images):
             if member(v):
                 by_len.setdefault(len(v), set()).add(words.foata(v))
@@ -391,14 +399,15 @@ def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outco
                 yield (all(back(w) == p for p, w in zip(avoiders, images))
                        or f"inverse fails for {pats} at n={n}")
         avoiders = list(engine.enumerate_avoiders(n, ((1, 3, 2),), should_stop))
-        images = [words.map_132_to_231(p) for p in avoiders]
+        images = [words.map_132_to_231(p) for p in _polled(avoiders, should_stop)]
         if sorted(images) != list(engine.enumerate_avoiders(n, ((2, 3, 1),), should_stop)):
             yield f"descent transport map not onto at n={n}"
         elif any(perms.descent_set(p) != perms.descent_set(t)
                  for p, t in zip(avoiders, images)):
             yield f"descent transport map moves descents at n={n}"
         else:
-            yield (all(words.map_231_to_132(t) == p for p, t in zip(avoiders, images))
+            yield (all(words.map_231_to_132(t) == p
+                       for p, t in _polled(zip(avoiders, images), should_stop))
                    or f"descent transport inverse fails at n={n}")
     for n in range(partition_nmax + 1):
         for pats, fwd, back, stat in (
@@ -566,7 +575,8 @@ PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
     _check("fibonacci-bridge", lambda n, _: _fibonacci_bridge(min(n + 4, 12))),
     _check("run-rearrangement-bijection", lambda n, _: _foata_properties(min(n + 4, 12))),
     _check("durfee-roundtrip", lambda n, _: _durfee_roundtrip(min(n + 4, 12))),
-    _check("image-characterizations", lambda n, _: _image_characterizations(min(n + 4, 12))),
+    _check("image-characterizations",
+           lambda n, stop: _image_characterizations(min(n + 4, 12), stop)),
     _check("word-generating-functions", lambda n, stop: _word_transport(min(n + 2, 10), stop)),
     _check("bijection-suite", lambda n, stop: _bijection_suite(min(n, 8), min(n + 1, 9), stop)),
 )

@@ -288,3 +288,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
+
+
+def test_one_process_runs_many_commands(capsys, monkeypatch):
+    # main() shares one parser across calls; each call must still print and
+    # exit exactly as the same command run alone in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    poly = ["poly", "--stat", "majdes", "--n", "5", "--avoid", "132", "--format", "json"]
+    commands = [(poly, 0), (["poly", "--stat", "inv", "--n", "4", "--avoid", "1x2"], 2),
+                (["--help"], 0), (["poly", "--stat", "area", "--n", "4"], 2), (poly, 0)]
+    for argv, code in commands:
+        try:
+            got = cli.main(list(argv))
+        except SystemExit as exit:
+            got = exit.code
+        out, err = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "patstat.cli", *argv],
+                               capture_output=True, text=True)
+        assert (got, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        assert got == code, argv

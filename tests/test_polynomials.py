@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patstat.polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer, q_int
 
@@ -54,6 +56,76 @@ def test_overflow_detected_not_wrapped():
         QPoly((2**63,))
     with pytest.raises(OverflowError):
         2 * QTPoly.monomial(0, 0, 2**62)
+    assert (QTPoly.monomial(0, 0, 2**62 - 1) + QTPoly.monomial(0, 0, 2**62)).terms == (
+        (0, 0, 2**63 - 1),)
+
+
+@pytest.mark.parametrize("overflow", [
+    lambda: QTPoly.monomial(1, 0, 2**32) * QTPoly.monomial(0, 1, 2**31),
+    lambda: QTPoly.monomial(1, 1, 2**62) + QTPoly(((0, 0, 1), (1, 1, 2**62))),
+    lambda: QTPoly.monomial(0, 0, -(2**62)) - QTPoly.monomial(0, 0, 2**62),
+    # each product fits; their sum, the x^1 coefficient, does not
+    lambda: TruncatedSeries(1, (QTPoly.monomial(0, 0, 2**31),) * 2) ** 2,
+], ids=["qtpoly-mul", "qtpoly-add", "qtpoly-sub", "series-mul"])
+def test_operator_overflow_detected_not_wrapped(overflow):
+    with pytest.raises(OverflowError):
+        overflow()
+
+
+# Reference arithmetic for the differential test: naive term lists, summed
+# by the public constructor, whose result is checked against an independent
+# accumulate-and-sort.
+_TERMS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(-4, 4)),
+                  max_size=6)
+
+
+def _naive(terms) -> QTPoly:
+    acc = {}
+    for qe, te, c in terms:
+        acc[qe, te] = acc.get((qe, te), 0) + c
+    want = tuple((qe, te, c) for (qe, te), c in sorted(acc.items(), key=lambda kv: kv[0][::-1])
+                 if c)
+    p = QTPoly(terms)
+    assert p.terms == want
+    return p
+
+
+def _naive_product(a: QTPoly, b: QTPoly) -> list:
+    return [(qa + qb, ta + tb, ca * cb) for qa, ta, ca in a.terms for qb, tb, cb in b.terms]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_TERMS, _TERMS, st.integers(-3, 3), st.integers(0, 3))
+def test_arithmetic_matches_naive_term_lists(ta, tb, k, j):
+    a, b = _naive(ta), _naive(tb)
+    assert (a * b).terms == _naive(_naive_product(a, b)).terms
+    assert (a + b).terms == _naive(list(a.terms) + list(b.terms)).terms
+    assert (a - b).terms == _naive(list(a.terms) + [(q, t, -c) for q, t, c in b.terms]).terms
+    assert (k * a).terms == _naive([(q, t, k * c) for q, t, c in a.terms]).terms
+    assert a.substitute_t_scale(j).terms == _naive([(q + j * t, t, c) for q, t, c in a.terms]).terms
+    counts = {}
+    for q, t, c in ta:
+        counts[q, t] = counts.get((q, t), 0) + c
+    assert QTPoly.from_counts(counts).terms == _naive(ta).terms
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=5), st.lists(_TERMS, min_size=1, max_size=5))
+def test_series_arithmetic_matches_naive_term_lists(xs, ys):
+    order = min(len(xs), len(ys)) - 1
+    s = TruncatedSeries(order, tuple(map(_naive, xs)))
+    u = TruncatedSeries(order, tuple(map(_naive, ys)))
+    product = s * u
+    for m in range(order + 1):
+        terms = [t for i in range(m + 1) for t in _naive_product(s[i], u[m - i])]
+        assert product[m].terms == _naive(terms).terms
+    unit = TruncatedSeries(order, (QTPoly.one(),) + s.coeffs[1:])
+    inverse = [QTPoly.one()]
+    for m in range(1, order + 1):
+        terms = [(q, t, -c) for i in range(1, m + 1)
+                 for q, t, c in _naive_product(unit[i], inverse[m - i])]
+        inverse.append(_naive(terms))
+    assert [c.terms for c in unit.invert().coeffs] == [c.terms for c in inverse]
 
 
 def test_reverse_coefficients_examples():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from patstat import engine, verify
+from patstat import engine, verify, words
 
 
 @pytest.mark.parametrize(
@@ -66,6 +66,30 @@ def test_a_long_case_stops_inside_the_engine(monkeypatch):
     with pytest.raises(engine.SearchCancelled):
         check(9, should_stop=lambda: seen > 0)
     assert 0 < seen < math.factorial(9)
+
+
+@pytest.mark.parametrize("name, fn, length, total", [
+    # the descent transport case maps all 1430 members of Av_8(132) at once
+    ("bijection-suite", "map_132_to_231", 8, math.comb(16, 8) // 9),
+    # the first case follows one pass over all 8191 words of length <= 12
+    ("image-characterizations", "in_start_one_set", 12, 2**12),
+], ids=["bijection-suite", "image-characterizations"])
+def test_a_long_pass_outside_the_engine_stops_early(monkeypatch, name, fn, length, total):
+    # a stop that fires at the first call on an input of the given length
+    # must end the pass over those inputs long before it is through
+    inner = getattr(words, fn)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += len(x) == length
+        return inner(x)
+
+    monkeypatch.setattr(words, fn, counted)
+    check = dict(verify.PAPER_CHECKS)[name]
+    with pytest.raises(engine.SearchCancelled):
+        check(9, should_stop=lambda: calls > 0)
+    assert 0 < calls <= 300 < total
 
 
 def test_check_result_lines():
