@@ -205,7 +205,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    s = formulas.series_expand(args.gf, args.order)
+    s = formulas.series_expand(args.gf, args.order,
+                               should_stop=_deadline_checker(args.limit_seconds))
     if args.format == "json":
         print(json.dumps({"id": args.gf, "order": args.order, "coeffs": s.to_json()}))
     elif args.format == "csv":

@@ -6,8 +6,8 @@ formula catalog is keyed by kebab-case identifiers naming the statistic and
 the avoided patterns; each entry also records the other pattern sets whose
 polynomial the formula is known to match.
 
-Division never appears: the two formulas that are naturally stated as
-quotients are implemented through their geometric-sum expansions
+No polynomial in q is ever divided by another: the two formulas that are
+naturally stated as quotients are implemented through their geometric-sum expansions
 ((q^(k(n-k+1)) - q^k)/(q^k - 1) as sum_{j=1..n-k} q^(jk), and
 (n - [n]_q)/(1 - q) as sum_{i=1..n-1} [i]_q).
 """
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
+from .engine import SearchCancelled
 from .perms import Perm
-from .polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer, q_int
+from .polynomials import QPoly, QTPoly, TruncatedSeries, q_int
 
 
 def catalan(n: int) -> int:
@@ -361,28 +362,37 @@ def closed_form(formula_id: str, n: int) -> PolyLike:
 
 SERIES_IDS = ("gf-231-321", "gf-312-321", "gf-231-312-321")
 
+# Each series is a sum over k of q^(k^2) t^k x^(2k) / D_k, where D_k is a
+# product of q-shifted factorials: (x)_k (x)_(k+1), (x)_(k+1) (qx)_k and
+# (x)_(k+1) respectively.  D_0 = 1 - x for all three, and D_k / D_(k-1) is
+# the product of (1 - q^j x) over these j.
+_NEW_FACTORS: dict[str, Callable[[int], tuple[int, ...]]] = {
+    "gf-231-321": lambda k: (k - 1, k),
+    "gf-312-321": lambda k: (k, k),
+    "gf-231-312-321": lambda k: (k,),
+}
 
-def series_expand(series_id: str, order: int) -> TruncatedSeries:
+
+def series_expand(series_id: str, order: int,
+                  should_stop: Optional[Callable[[], bool]] = None) -> TruncatedSeries:
     """Truncated expansion of one of the three word generating functions.
 
-    Each is a sum over k of q^(k^2) t^k x^(2k) divided by a product of
-    q-shifted factorials; the x^(2k) factor makes the sum finite at any
-    truncation order.
+    The x^(2k) factor makes the sum finite at any truncation order.  1/D_k
+    comes from 1/D_(k-1) by one division by its new linear factors, and
+    should_stop is polled before each summand.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
     total = TruncatedSeries(order, ())
-    k = 0
-    while 2 * k <= order:
-        if series_id == "gf-231-321":
-            den = pochhammer(k, order) * pochhammer(k + 1, order)
-        elif series_id == "gf-312-321":
-            den = pochhammer(k + 1, order) * pochhammer(k, order, shift=1)
-        else:
-            den = pochhammer(k + 1, order)
-        term = den.invert().scale(QTPoly.monomial(k * k, k)).shift_x(2 * k)
-        total = total + term
-        k += 1
+    inverse = TruncatedSeries.one(order)  # 1/D_(k-1)
+    for k in range(order // 2 + 1):
+        if should_stop is not None and should_stop():
+            raise SearchCancelled("series expansion stopped")
+        factors = TruncatedSeries.one(order)
+        for j in _NEW_FACTORS[series_id](k) if k else (0,):
+            factors = factors * TruncatedSeries(order, (QTPoly.one(), QTPoly.monomial(j, 0, -1)))
+        inverse = inverse / factors
+        total = total + inverse.scale(QTPoly.monomial(k * k, k)).shift_x(2 * k)
     return total

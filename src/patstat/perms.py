@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -227,6 +228,23 @@ def normalize_symmetry(tag: str) -> str:
     return tag
 
 
+@lru_cache(maxsize=128)
+def _symmetry_plan(tag: str, n: int) -> tuple[bool, itemgetter, tuple[int, ...]]:
+    """How one symmetry acts on S_n, read off its point map: whether it starts
+    from the inverse (whose diagram swaps x and y), then which position each
+    entry is read from, and the value each entry v becomes (at index v)."""
+    f = _POINT_MAPS[tag]
+    m = n + 1
+    # each output coordinate of a point map follows one input coordinate;
+    # when x' follows y, the map acts on the inverse's diagram as (x, y) -> f(y, x)
+    swap = f(1, 2, m)[0] != f(1, 3, m)[0]
+    g = (lambda x, y: f(y, x, m)) if swap else (lambda x, y: f(x, y, m))
+    source = [0] * n
+    for x in range(1, n + 1):
+        source[g(x, 1)[0] - 1] = x - 1
+    return swap, itemgetter(*source), (0,) + tuple(g(1, y)[1] for y in range(1, m))
+
+
 def apply_symmetry(tag: str, p: Perm) -> Perm:
     """Apply one of the eight diagram symmetries to a permutation.
 
@@ -235,14 +253,11 @@ def apply_symmetry(tag: str, p: Perm) -> Perm:
     >>> apply_symmetry("R90", (1, 3, 2))
     (2, 3, 1)
     """
-    f = _POINT_MAPS[normalize_symmetry(tag)]
-    n = len(p)
-    m = n + 1
-    out = [0] * n
-    for i, v in enumerate(p, 1):
-        x, y = f(i, v, m)
-        out[x - 1] = y
-    return tuple(out)
+    tag = normalize_symmetry(tag)
+    if len(p) < 2:
+        return tuple(p)
+    swap, read, value = _symmetry_plan(tag, len(p))
+    return tuple(map(value.__getitem__, read(inverse(p) if swap else p)))
 
 
 @lru_cache(maxsize=None)

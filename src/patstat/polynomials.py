@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
 _COEFF_BOUND = 1 << 63
 
@@ -21,6 +21,23 @@ def _checked(c: int, what: str = "coefficient") -> int:
     if not -_COEFF_BOUND < c < _COEFF_BOUND:
         raise OverflowError(f"{what} {c} exceeds the signed 64-bit range")
     return c
+
+
+def _fits(cs: Collection[int]) -> bool:
+    """Whether every coefficient is in the signed 64-bit range, in one min/max pass;
+    when not, callers run _checked on each in order to name the first one."""
+    return not cs or -_COEFF_BOUND < min(cs) <= max(cs) < _COEFF_BOUND
+
+
+def _canonical(cs: list[int]) -> tuple[int, ...]:
+    """QPoly coefficients from a list of ints (which it consumes): range-checked
+    in one pass, trailing zeros stripped once."""
+    if not _fits(cs):
+        for c in cs:
+            _checked(c)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
 def _power(base, e: int, one):
@@ -70,10 +87,14 @@ class QPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(_checked(int(c)) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _canonical(list(map(int, self.coeffs))))
+
+    @staticmethod
+    def _from_list(cs: list[int]) -> "QPoly":
+        """The one builder, from a list of ints (which it consumes)."""
+        p = object.__new__(QPoly)
+        object.__setattr__(p, "coeffs", _canonical(cs))
+        return p
 
     @staticmethod
     def zero() -> "QPoly":
@@ -107,28 +128,32 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return QPoly._from_list(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-1) * other
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return QPoly._from_list(out)
 
     def __neg__(self) -> "QPoly":
-        return (-1) * self
+        return QPoly._from_list([-c for c in self.coeffs])
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return QPoly(())
+            return QPoly._from_list([])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] = _checked(out[i + j] + ca * cb)
-        return QPoly(out)
+        return QPoly._from_list(out)
 
     def __rmul__(self, scalar: int) -> "QPoly":
-        return QPoly(tuple(scalar * c for c in self.coeffs))
+        return QPoly._from_list([scalar * c for c in self.coeffs])
 
     def __pow__(self, exponent: int) -> "QPoly":
         return _power(self, exponent, QPoly.one())
@@ -141,7 +166,7 @@ class QPoly:
         out = [0] * (top + 1)
         for i, c in enumerate(self.coeffs):
             out[top - i] = c
-        return QPoly(out)
+        return QPoly._from_list(out)
 
     def eval_at_q1(self) -> int:
         """Set q = 1, recovering the plain count."""
@@ -170,7 +195,7 @@ def q_int(n: int) -> QPoly:
     """1 + q + ... + q^(n-1), the q-analogue of the integer n."""
     if n < 0:
         raise ValueError("q-integer needs n >= 0")
-    return QPoly((1,) * n)
+    return QPoly._from_list([1] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +236,14 @@ class QTPoly:
     @staticmethod
     def _from_acc(acc: dict[tuple[int, int], int]) -> "QTPoly":
         """The one builder: from a {(t_exp, q_exp): coeff} dict with nonnegative int
-        exponents, sort by (t_exp, q_exp), drop zeros and check each coefficient."""
+        exponents, sort by (t_exp, q_exp), drop zeros and check the coefficients in
+        one pass (naming the first one out of range in term order)."""
+        items = sorted(acc.items())
+        if not _fits(acc.values()):
+            for _, c in items:
+                _checked(c)
         p = object.__new__(QTPoly)
-        terms = tuple((qe, te, _checked(c)) for (te, qe), c in sorted(acc.items()) if c)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "terms", tuple([(qe, te, c) for (te, qe), c in items if c]))
         return p
 
     @staticmethod
@@ -258,10 +287,25 @@ class QTPoly:
         return QTPoly._from_acc(acc)
 
     def __mul__(self, other: "QTPoly") -> "QTPoly":
+        if len(self.terms) == 1:
+            return other._times_term(*self.terms[0])
+        if len(other.terms) == 1:
+            return self._times_term(*other.terms[0])
         return _sum_of_products(((self, other),))
 
+    def _times_term(self, q_exp: int, t_exp: int, coeff: int) -> "QTPoly":
+        """self * coeff q^q_exp t^t_exp for a nonzero coeff: shifting every exponent
+        keeps the term order, so nothing is sorted."""
+        terms = tuple([(qe + q_exp, te + t_exp, coeff * c) for qe, te, c in self.terms])
+        if not _fits([c for _, _, c in terms]):
+            for _, _, c in terms:
+                _checked(c)
+        p = object.__new__(QTPoly)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __rmul__(self, scalar: int) -> "QTPoly":
-        return QTPoly._from_acc({(te, qe): scalar * c for qe, te, c in self.terms})
+        return self._times_term(0, 0, scalar) if scalar else QTPoly.zero()
 
     def __pow__(self, exponent: int) -> "QTPoly":
         return _power(self, exponent, QTPoly.one())
@@ -278,7 +322,7 @@ class QTPoly:
         out = [0] * (deg + 1)
         for qe, _, c in self.terms:
             out[qe] += c
-        return QPoly(out)
+        return QPoly._from_list(out)
 
     def eval_at(self, q: int, t: int) -> int:
         return sum(c * q**qe * t**te for qe, te, c in self.terms)
@@ -353,15 +397,23 @@ class TruncatedSeries:
             raise ValueError("shift must be nonnegative")
         return TruncatedSeries(self.order, (QTPoly.zero(),) * k + self.coeffs)
 
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """self / other, for other with constant term 1: out[m] = self[m] minus the
+        sum over i >= 1 of other[i] * out[m - i], accumulated whole; only the
+        nonzero coefficients of other cost work."""
+        if other.coeffs[0] != QTPoly.one():
+            raise ValueError("series inversion needs a unit constant term")
+        one = QTPoly.one()
+        negated = [(i, -1 * c) for i, c in enumerate(other.coeffs) if i and c]
+        out: list[QTPoly] = []
+        for m in range(min(self.order, other.order) + 1):
+            out.append(_sum_of_products(
+                [(one, self.coeffs[m])] + [(c, out[m - i]) for i, c in negated if i <= m]))
+        return TruncatedSeries(len(out) - 1, tuple(out))
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires the constant term to be 1."""
-        if self.coeffs[0] != QTPoly.one():
-            raise ValueError("series inversion needs a unit constant term")
-        n = self.order
-        out = [QTPoly.one()]
-        for m in range(1, n + 1):
-            out.append(_sum_of_products(zip(self.coeffs[1 : m + 1], reversed(out)), -1))
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries.one(self.order) / self
 
     def to_json(self) -> list[list[dict[str, int]]]:
         return [c.to_json() for c in self.coeffs]

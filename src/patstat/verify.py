@@ -95,29 +95,35 @@ def _maj_complement(nmax: int) -> Outcomes:
                    or f"maj complement fails at {perms.format_perm(p)}")
 
 
+def _images(p: perms.Perm) -> tuple[perms.Perm, ...]:
+    """p under each of perms.SYMMETRIES, in that order."""
+    return tuple(perms.apply_symmetry(f, p) for f in perms.SYMMETRIES)
+
+
 def _containment_transport(nmax: int) -> Outcomes:
-    patterns = [q for k in range(4) for q in perms.all_perms(k)]
+    patterns = [(q, _images(q)) for k in range(4) for q in perms.all_perms(k)]
     for n in range(nmax + 1):
         for p in perms.all_perms(n):
-            for pat in patterns:
+            images = _images(p)
+            for pat, pat_images in patterns:
                 base = perms.contains(p, pat)
-                for f in perms.SYMMETRIES:
+                for f, image, pat_image in zip(perms.SYMMETRIES, images, pat_images):
                     yield (
-                        perms.contains(perms.apply_symmetry(f, p), perms.apply_symmetry(f, pat))
-                        == base
+                        perms.contains(image, pat_image) == base
                         or f"containment not preserved by {f} on "
                         f"({perms.format_perm(p)}, {perms.format_perm(pat)})"
                     )
 
 
 def _symmetry_group_law(nmax: int) -> Outcomes:
+    image = {p: dict(zip(perms.SYMMETRIES, _images(p)))
+             for n in range(nmax + 1) for p in perms.all_perms(n)}
     for f in perms.SYMMETRIES:
         for g in perms.SYMMETRIES:
             h = perms.compose_symmetries(f, g)
             for n in range(nmax + 1):
                 for p in perms.all_perms(n):
-                    yield (perms.apply_symmetry(f, perms.apply_symmetry(g, p))
-                           == perms.apply_symmetry(h, p)
+                    yield (image[image[p][g]][f] == image[p][h]
                            or f"{f}∘{g} != {h} at {perms.format_perm(p)}")
 
 
@@ -216,11 +222,13 @@ def _patterns_s3_s4() -> list[perms.Perm]:
 
 def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
     for pat in _patterns_s3_s4():
-        for f in perms.SYMMETRIES:
-            image = perms.apply_symmetry(f, pat)
+        bases: dict[int, QPoly] = {}
+        for f, image in zip(perms.SYMMETRIES, _images(pat)):
             for n in range(nmax + 1):
                 left = engine.stat_poly(n, (image,), "inv", should_stop)
-                base = engine.stat_poly(n, (pat,), "inv", should_stop)
+                base = bases.get(n)
+                if base is None:
+                    base = bases[n] = engine.stat_poly(n, (pat,), "inv", should_stop)
                 want = base if f in perms.INV_PRESERVING else base.reverse(n)
                 yield (left == want
                        or f"inv transport fails: {f}({perms.format_perm(pat)}) at n={n}")
@@ -292,7 +300,7 @@ def _series_coefficients(order: int, should_stop: Stop) -> Outcomes:
         "gf-231-312-321": ((2, 3, 1), (3, 1, 2), (3, 2, 1)),
     }
     for sid, pats in targets.items():
-        s = formulas.series_expand(sid, order)
+        s = formulas.series_expand(sid, order, should_stop)
         for n in range(order + 1):
             yield (s[n] == engine.maj_des_poly(n, pats, should_stop)
                    or f"{sid} coefficient of x^{n} disagrees")

@@ -245,7 +245,8 @@ def test_limit_seconds_aborts_classify(capsys):
     ["poly", "--stat", "majdes", "--n", "13", "--avoid", "1324", "--format", "json"],
     ["mahonian", "--left", "1324", "--right", "1234", "--n", "13"],
     ["verify", "--suite", "paper", "--nmax", "9"],
-], ids=["count", "poly", "mahonian", "verify"])
+    ["series", "--gf", "gf-231-321", "--order", "30"],
+], ids=["count", "poly", "mahonian", "verify", "series"])
 def test_limit_seconds_aborts_profiles(argv, capsys):
     code, out, err = run_cli(argv + ["--limit-seconds", "0"], capsys)
     assert code == 1

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import brute_avoiders, des_brute, inv_brute, maj_brute
 from patstat import formulas
-from patstat.polynomials import QPoly, QTPoly
+from patstat.engine import SearchCancelled
+from patstat.polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer
 
 
 def _inv_poly_brute(n, pats):
@@ -171,3 +172,57 @@ def test_series_counts_at_q_t_one():
     s = formulas.series_expand("gf-231-312-321", 9)
     for n in range(10):
         assert s[n].eval_at(1, 1) == formulas.fibonacci(n)
+
+
+def _series_reference(series_id, order):
+    """The sum over k of q^(k^2) t^k x^(2k) / D_k, with each D_k built from
+    q-shifted factorials and inverted whole."""
+    total = TruncatedSeries(order, ())
+    for k in range(order // 2 + 1):
+        den = {
+            "gf-231-321": lambda: pochhammer(k, order) * pochhammer(k + 1, order),
+            "gf-312-321": lambda: pochhammer(k + 1, order) * pochhammer(k, order, shift=1),
+            "gf-231-312-321": lambda: pochhammer(k + 1, order),
+        }[series_id]()
+        total = total + den.invert().scale(QTPoly.monomial(k * k, k)).shift_x(2 * k)
+    return total
+
+
+@pytest.mark.parametrize("sid", formulas.SERIES_IDS)
+def test_series_matches_inverted_pochhammer_products(sid):
+    reference = _series_reference(sid, 16)
+    for order in range(17):
+        got = formulas.series_expand(sid, order)
+        assert got.order == order
+        # a coefficient does not depend on the order it is truncated at
+        assert [c.terms for c in got.coeffs] == [c.terms for c in reference.coeffs[: order + 1]]
+
+
+@pytest.mark.parametrize("sid, count", [
+    ("gf-231-321", lambda n: 2 ** (n - 1) if n else 1),
+    ("gf-312-321", lambda n: 2 ** (n - 1) if n else 1),
+    ("gf-231-312-321", formulas.fibonacci),
+])
+def test_series_counts_to_the_largest_order(sid, count):
+    s = formulas.series_expand(sid, 37)
+    assert [c.eval_at(1, 1) for c in s.coeffs] == [count(n) for n in range(38)]
+
+
+@pytest.mark.parametrize("sid, coeff", [
+    ("gf-231-321", 9409878456167286146),
+    ("gf-312-321", 9303152838680753604),
+])
+def test_series_overflow_at_order_38(sid, coeff):
+    # the first coefficient of some 1/D_k beyond 2^63 - 1, in the order the
+    # summands are built
+    with pytest.raises(OverflowError,
+                       match=f"^coefficient {coeff} exceeds the signed 64-bit range$"):
+        formulas.series_expand(sid, 38)
+
+
+def test_series_expansion_stops_on_request():
+    with pytest.raises(SearchCancelled):
+        formulas.series_expand("gf-231-321", 10, should_stop=lambda: True)
+    polls = []
+    formulas.series_expand("gf-312-321", 10, should_stop=lambda: polls.append(1) and False)
+    assert len(polls) == 6  # once per summand, k = 0..5

@@ -97,6 +97,26 @@ def test_symmetry_group_table():
 def test_unknown_symmetry_rejected():
     with pytest.raises(ValueError):
         perms.apply_symmetry("R45", (1, 2))
+    with pytest.raises(ValueError, match=r"^unknown symmetry 'R45'; expected one of \("):
+        perms.apply_symmetry("R45", ())
+
+
+def _by_point_map(tag, p):
+    f = perms._POINT_MAPS[perms.normalize_symmetry(tag)]
+    out = [0] * len(p)
+    for i, v in enumerate(p, 1):
+        x, y = f(i, v, len(p) + 1)
+        out[x - 1] = y
+    return tuple(out)
+
+
+def test_symmetry_tables_match_point_maps():
+    for n in range(8):
+        for p in perms.all_perms(n):
+            for tag in perms.SYMMETRIES + ("r∞", "rINF"):
+                assert perms.apply_symmetry(tag, p) == _by_point_map(tag, p), (tag, p)
+    # one table per (tag, length), and only so many kept
+    assert perms._symmetry_plan.cache_info().maxsize == 128
 
 
 def test_inflate_worked_examples():

@@ -60,6 +60,25 @@ def test_overflow_detected_not_wrapped():
         (0, 0, 2**63 - 1),)
 
 
+def test_overflow_names_the_first_coefficient_out_of_range():
+    # in index order for QPoly, in term order for QTPoly, whichever is largest
+    with pytest.raises(OverflowError, match=f"^coefficient {2**63} exceeds"):
+        QPoly((1, 2**63, -(2**64)))
+    with pytest.raises(OverflowError, match=f"^coefficient {-(2**64)} exceeds"):
+        QPoly((-(2**64), 2**63))
+    with pytest.raises(OverflowError, match=f"^coefficient {-(2**64)} exceeds"):
+        QTPoly(((0, 1, 2**65), (5, 0, -(2**64))))
+    with pytest.raises(OverflowError, match=f"^coefficient {3 * 2**62} exceeds"):
+        3 * QPoly((0, 2**62, 2**62 - 1))
+    assert QPoly((-(2**63) + 1, 2**63 - 1)).coeffs == (-(2**63) + 1, 2**63 - 1)
+
+
+def test_qpoly_normalizes_int_like_coefficients():
+    p = QPoly([True, Fraction(4, 2), 3.0, 0, False])
+    assert p.coeffs == (1, 2, 3) and all(type(c) is int for c in p.coeffs)
+    assert QPoly(c for c in (0, 5, 0)).coeffs == (0, 5)
+
+
 @pytest.mark.parametrize("overflow", [
     lambda: QTPoly.monomial(1, 0, 2**32) * QTPoly.monomial(0, 1, 2**31),
     lambda: QTPoly.monomial(1, 1, 2**62) + QTPoly(((0, 0, 1), (1, 1, 2**62))),
@@ -109,6 +128,29 @@ def test_arithmetic_matches_naive_term_lists(ta, tb, k, j):
     assert QTPoly.from_counts(counts).terms == _naive(ta).terms
 
 
+_COEFFS = st.lists(st.integers(-9, 9), max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_COEFFS, _COEFFS, st.integers(-3, 3))
+def test_qpoly_arithmetic_matches_coefficient_lists(xs, ys, k):
+    a, b = QPoly(xs), QPoly(ys)
+    pad = max(len(xs), len(ys))
+    xs, ys = xs + [0] * (pad - len(xs)), ys + [0] * (pad - len(ys))
+
+    def canonical(cs):
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        return tuple(cs)
+
+    assert (a + b).coeffs == canonical([x + y for x, y in zip(xs, ys)])
+    assert (a - b).coeffs == canonical([x - y for x, y in zip(xs, ys)]) == (a + (-1) * b).coeffs
+    assert (-a).coeffs == canonical([-x for x in xs]) == ((-1) * a).coeffs
+    assert (k * a).coeffs == canonical([k * x for x in xs])
+    assert (a * b).coeffs == canonical(
+        [sum(xs[i] * ys[m - i] for i in range(pad) if 0 <= m - i < pad) for m in range(2 * pad)])
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.lists(_TERMS, min_size=1, max_size=5), st.lists(_TERMS, min_size=1, max_size=5))
 def test_series_arithmetic_matches_naive_term_lists(xs, ys):
@@ -126,6 +168,7 @@ def test_series_arithmetic_matches_naive_term_lists(xs, ys):
                  for q, t, c in _naive_product(unit[i], inverse[m - i])]
         inverse.append(_naive(terms))
     assert [c.terms for c in unit.invert().coeffs] == [c.terms for c in inverse]
+    assert [c.terms for c in (u / unit).coeffs] == [c.terms for c in (u * unit.invert()).coeffs]
 
 
 def test_reverse_coefficients_examples():
