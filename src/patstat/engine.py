@@ -12,10 +12,15 @@ those sets are settled before any state is built.
 Enumeration walks the states depth first from one stack of pending
 placements, least rank first, and yields each avoider as it is found, so
 its output order is lexicographic in one-line notation, which is part of
-the contract.  Profiles (the inv polynomial and the joint maj/des
-polynomial) run the same rules level by level, carrying one polynomial
-pair per state rather than visiting the avoiders one by one (see
-_dp_profile).
+the contract.  Many prefixes have no completion although no free value
+completes a pattern yet.  Once all children of a state have been walked,
+the state keeps only those that have a completion, so the subtree of a
+dead state is walked once at most, and the walk costs about the number of
+states plus the avoiders times n.  The last _TAIL values of each avoider
+come from a table, per state, of the orders that complete it.  Profiles
+(the inv polynomial and the joint maj/des polynomial) run the same rules
+level by level, carrying one polynomial pair per state rather than
+visiting the avoiders one by one (see _dp_profile).
 """
 
 from __future__ import annotations
@@ -262,11 +267,12 @@ def enumerate_avoiders(
         yield tuple(range(1, n + 1))
         return
     root, children = _transitions(n, pats)
-    # per m: the children met so far of each state
+    # Per m, for each state met so far with m values free: above _TAIL, its
+    # children, and once they have all been walked only those that have a
+    # completion; at min(n, _TAIL), the orders of the free values that
+    # complete it, least first, as getters of index tuples into them; below
+    # that, its children, from which those orders are built.
     memo: list[dict] = [{} for _ in range(n + 1)]
-    # per state with min(n, _TAIL) free values: the orders of those values
-    # that complete it, least first, as getters of index tuples into them
-    ends: dict = {}
 
     def kids(state, m: int) -> list:
         known = memo[m]
@@ -278,6 +284,8 @@ def enumerate_avoiders(
     # Pending placements (state after it, values still free after it, value
     # placed), least rank on top.  A popped value goes into the one shared
     # prefix, whose earlier positions then hold the values of its ancestors.
+    # A state other than the root met for the first time above _TAIL also
+    # leaves (state, [], m) below its children, which marks them all walked.
     pending: list = []
     prefix = [0] * n
     state, free = root, list(range(1, n + 1))
@@ -290,26 +298,42 @@ def enumerate_avoiders(
                 if should_stop():
                     raise SearchCancelled("enumeration stopped")
         m = len(free)
+        known = memo[m]
+        out = known.get(state)
         if m > _TAIL:
-            for child in reversed(kids(state, m)):
+            if out is None:
+                # leave out the children already known to have no completion
+                below = memo[m - 1]
+                out = known[state] = [c for c in children(state, m) if below.get(c, c)]
+                if out and m < n:
+                    pending.append((state, [], m))
+            for child in reversed(out):
                 r = child[0]
                 pending.append((child, free[:r] + free[r + 1:], free[r]))
         else:
-            tails = ends.get(state)
-            if tails is None:
-                # (indices placed, indices left, state after them), level by level
+            if out is None:
+                # (indices placed, indices left, state after them), level by
+                # level; this state's own children are needed only here
                 orders = [((), list(range(m)), state)]
                 for k in range(m, 0, -1):
                     orders = [(t + (left[c[0]],), left[:c[0]] + left[c[0] + 1:], c)
-                              for t, left, s in orders for c in kids(s, k)]
-                tails = ends[state] = [itemgetter(*t) for t, _, _ in orders]
-            ticker += len(tails)  # a tick per avoider too, for a prompt deadline
+                              for t, left, s in orders
+                              for c in (kids(s, k) if k < m else children(s, k))]
+                out = known[state] = [itemgetter(*t) for t, _, _ in orders]
+            ticker += len(out)  # a tick per avoider too, for a prompt deadline
             head = tuple(prefix[:n - m])
-            for tail in tails:
+            for tail in out:
                 yield head + tail(free)
-        if not pending:
-            return
-        state, free, value = pending.pop()
+        while True:
+            if not pending:
+                return
+            state, free, value = pending.pop()
+            if free:
+                break
+            # a marker: keep the children of the state with `value` values
+            # free that have a completion, so no later visit walks the others
+            below = memo[value - 1]
+            memo[value][state] = [c for c in memo[value][state] if below[c]]
         prefix[n - len(free) - 1] = value
 
 

@@ -377,22 +377,28 @@ def series_expand(series_id: str, order: int,
                   should_stop: Optional[Callable[[], bool]] = None) -> TruncatedSeries:
     """Truncated expansion of one of the three word generating functions.
 
-    The x^(2k) factor makes the sum finite at any truncation order.  1/D_k
-    comes from 1/D_(k-1) by one division by its new linear factors, and
+    The x^(2k) factor makes the sum finite at any truncation order, and
+    summand k needs 1/D_k only up to x^(order - 2k), so each inverse is
+    carried at that order: 1/D_k comes from 1/D_(k-1) by one division by
+    its new linear factors.  Summand k's terms all have t-degree k, so they
+    go into one dict per power of x and each coefficient is built once.
     should_stop is polled before each summand.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    total = TruncatedSeries(order, ())
+    counts: list[dict[tuple[int, int], int]] = [{} for _ in range(order + 1)]
     inverse = TruncatedSeries.one(order)  # 1/D_(k-1)
     for k in range(order // 2 + 1):
         if should_stop is not None and should_stop():
             raise SearchCancelled("series expansion stopped")
-        factors = TruncatedSeries.one(order)
+        rest = order - 2 * k
+        factors = TruncatedSeries.one(rest)
         for j in _NEW_FACTORS[series_id](k) if k else (0,):
-            factors = factors * TruncatedSeries(order, (QTPoly.one(), QTPoly.monomial(j, 0, -1)))
+            factors = factors * TruncatedSeries(rest, (QTPoly.one(), QTPoly.monomial(j, 0, -1)))
         inverse = inverse / factors
-        total = total + inverse.scale(QTPoly.monomial(k * k, k)).shift_x(2 * k)
-    return total
+        for i, c in enumerate(inverse.coeffs, 2 * k):
+            # the coefficients of 1/D_k are polynomials in q alone
+            counts[i].update(((qe + k * k, k), v) for qe, _, v in c.terms)
+    return TruncatedSeries(order, tuple(QTPoly.from_counts(c) for c in counts))

@@ -11,6 +11,7 @@ otherwise ("10,1,2,...").  The empty permutation prints as "ε".
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -152,12 +153,30 @@ def maj(p: Sequence[int]) -> int:
 # pattern containment
 
 
+@lru_cache(maxsize=256)
+def _match_plan(pattern: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """For each j, the indices t < j of the nearest entries below and above
+    pattern[j] (-1 if none), in the order of (value, -index): a match maps
+    pattern[:j] to values ordered that way, so those two entries bound the
+    value that can match pattern[j]."""
+    def key(t: int) -> tuple[int, int]:
+        return pattern[t], -t
+
+    plan = []
+    for j, v in enumerate(pattern):
+        below = [t for t in range(j) if pattern[t] < v]
+        above = [t for t in range(j) if not pattern[t] < v]
+        plan.append((max(below, key=key, default=-1), min(above, key=key, default=-1)))
+    return tuple(plan)
+
+
 def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of p is order isomorphic to pattern.
 
-    Depth-first subsequence matching; a partial match is abandoned as soon
-    as the new entry breaks order isomorphism with the chosen prefix.
-    Every permutation contains the empty pattern.
+    Depth-first subsequence matching from one explicit stack of chosen
+    positions; the entries chosen so far bound the value that can match the
+    next pattern entry, so each candidate costs two comparisons.  Every
+    permutation contains the empty pattern.
 
     >>> contains((4, 3, 6, 1, 5, 2), (1, 3, 2))
     True
@@ -170,27 +189,28 @@ def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
     n = len(p)
     if k > n:
         return False
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        j = len(chosen)
+    plan = _match_plan(tuple(pattern))
+    at = [0] * k  # the positions in p matched to pattern[:j]
+    j = i = 0
+    while True:
+        lo, hi = plan[j]
+        low = p[at[lo]] if lo >= 0 else -math.inf
+        high = p[at[hi]] if hi >= 0 else math.inf
+        last = n - k + j
+        while i <= last and not low < p[i] <= high:
+            i += 1
+        if i > last:
+            # nothing left matches pattern[j]: move the match of pattern[j - 1] on
+            if j == 0:
+                return False
+            j -= 1
+            i = at[j] + 1
+            continue
+        at[j] = i
+        j += 1
         if j == k:
             return True
-        for i in range(start, n - (k - j) + 1):
-            x = p[i]
-            ok = True
-            for t in range(j):
-                if (chosen[t] < x) != (pattern[t] < pattern[j]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+        i += 1
 
 
 def avoids_all(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:

@@ -52,7 +52,6 @@ def test_enumerate_matches_brute_filter():
         ((1, 2, 3, 4, 5),),
         ((1, 2), (2, 1)),
     ]
-    pattern_sets += [tuple(s) for r in (1, 2, 3) for s in itertools.combinations(S3, r)]
     pattern_sets += _mixed_pattern_sets()
     for pats in pattern_sets:
         for n in range(7):
@@ -60,12 +59,16 @@ def test_enumerate_matches_brute_filter():
                 pats,
                 n,
             )
-    # every {S3, S4} pair from one scan of S_n per length; S4 singletons and
+    # every S3 set and {S3, S4} pair from one scan of S_n per length: at
+    # n = 7 the walk leaves out the dead children of states with 5 and 6
+    # values free, and most multi-pattern sets have some; S4 singletons and
     # pairs are in test_copy_tables_do_not_depend_on_query_order
-    for n in range(7):
+    sets = [s for r in (1, 2, 3) for s in itertools.combinations(S3, r)]
+    sets += itertools.product(S3, S4)
+    for n in range(8):
         occurs = {q: patterns_of(q, 3) | patterns_of(q, 4)
                   for q in itertools.permutations(range(1, n + 1))}
-        for pats in itertools.product(S3, S4):
+        for pats in sets:
             avoiders = [q for q, found in occurs.items() if found.isdisjoint(pats)]
             assert list(engine.enumerate_avoiders(n, pats)) == avoiders, (pats, n)
 
@@ -343,6 +346,41 @@ def test_enumeration_yields_before_listing_more():
         tracemalloc.stop()
     assert first == tuple(range(1, 11))
     assert peak < 2**20
+
+
+# Av_n(123, 132, 231): n, ..., 1 with one value moved to the end
+_AV_123_132_231 = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
+
+
+def _av_123_132_231(n):
+    return [tuple(v for v in range(n, 0, -1) if v != j) + (j,) for j in range(n, 0, -1)]
+
+
+def test_enumeration_walks_no_dead_state_twice():
+    # Av_20(123, 132, 231) has 20 members, and over a million prefixes that
+    # none of them extends, but only about 28,000 states: the walk polls once
+    # per engine._STOP_CHECK_INTERVAL steps, so it takes fewer than 40,960
+    polls = []
+    out = list(engine.enumerate_avoiders(20, _AV_123_132_231,
+                                         should_stop=lambda: polls.append(1) and False))
+    assert out == _av_123_132_231(20)
+    assert len(polls) < 10
+
+
+def test_stop_while_dead_prefixes_are_settled():
+    # every prefix below the first avoider's 19 is dead, so the first poll
+    # comes before anything is yielded
+    got = []
+    with pytest.raises(SearchCancelled):
+        for p in engine.enumerate_avoiders(20, _AV_123_132_231, should_stop=lambda: True):
+            got.append(p)
+    assert got == []
+    assert list(engine.enumerate_avoiders(20, _AV_123_132_231)) == _av_123_132_231(20)
+
+
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    # a walk that recursed once per value would pass the default limit of 1000
+    assert list(engine.enumerate_avoiders(1500, [(1, 2)])) == [tuple(range(1500, 0, -1))]
 
 
 def test_profile_cancellation_caches_nothing():

@@ -204,20 +204,22 @@ def test_series_matches_inverted_pochhammer_products(sid):
     ("gf-231-312-321", formulas.fibonacci),
 ])
 def test_series_counts_to_the_largest_order(sid, count):
-    s = formulas.series_expand(sid, 37)
-    assert [c.eval_at(1, 1) for c in s.coeffs] == [count(n) for n in range(38)]
+    # past order 37, where an inverse carried at the full order overflowed
+    s = formulas.series_expand(sid, 40)
+    assert [c.eval_at(1, 1) for c in s.coeffs] == [count(n) for n in range(41)]
 
 
 @pytest.mark.parametrize("sid, coeff", [
-    ("gf-231-321", 9409878456167286146),
-    ("gf-312-321", 9303152838680753604),
+    ("gf-231-321", 9294597774361418829),
+    ("gf-312-321", 9358720488097600839),
 ])
-def test_series_overflow_at_order_38(sid, coeff):
-    # the first coefficient of some 1/D_k beyond 2^63 - 1, in the order the
-    # summands are built
+def test_series_overflow_at_order_74(sid, coeff):
+    # every coefficient of a truncated 1/D_k is one of the series', so the
+    # first beyond 2^63 - 1 is a coefficient of the result itself: order 73
+    # is the largest that fits
     with pytest.raises(OverflowError,
                        match=f"^coefficient {coeff} exceeds the signed 64-bit range$"):
-        formulas.series_expand(sid, 38)
+        formulas.series_expand(sid, 74)
 
 
 def test_series_expansion_stops_on_request():
