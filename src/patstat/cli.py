@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on a verification failure (or a failed pair
-check / cancelled job), 2 on usage errors.  Output goes to stdout in the
-chosen format; progress and diagnostics stay on stderr so stdout remains
-machine-clean.
+check, a cancelled job or a reader of stdout that went away), 2 on usage
+errors.  Output goes to stdout in the chosen format; progress and
+diagnostics stay on stderr so stdout remains machine-clean.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Callable, Optional
@@ -21,9 +22,6 @@ from .perms import format_perm, parse_pattern_set, parse_perm
 from .polynomials import QPoly
 
 _POLY_STATS = ("inv", "maj", "majdes")
-
-_BIJECTIONS = ("231-321", "312-321", "231-312-321",
-               "132-213-partition", "132-231-partition", "132-to-231")
 
 
 def _poly_csv(p) -> str:
@@ -112,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("bijection", help="apply one of the explicit bijections")
-    p.add_argument("--name", choices=_BIJECTIONS, required=True)
+    p.add_argument("--name", choices=tuple(words.BIJECTIONS), required=True)
     p.add_argument("--input", required=True,
                    help="permutation (forward) or word/partition (with --inverse)")
     p.add_argument("--inverse", action="store_true")
@@ -253,34 +251,20 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    name = args.name
-    if name in ("231-321", "312-321", "231-312-321"):
-        fwd = {"231-321": words.to_word_231_321,
-               "312-321": words.to_word_312_321,
-               "231-312-321": words.to_word_231_312_321}[name]
-        back = {"231-321": words.from_word_231_321,
-                "312-321": words.from_word_312_321,
-                "231-312-321": words.from_word_231_312_321}[name]
-        if args.inverse:
-            print(format_perm(back(words.parse_word(args.input))))
-        else:
-            print(words.format_word(fwd(parse_perm(args.input))))
-    elif name in ("132-213-partition", "132-231-partition"):
-        fwd = (words.descent_partition_132_213 if name == "132-213-partition"
-               else words.prefix_partition_132_231)
-        back = (words.from_descent_partition_132_213 if name == "132-213-partition"
-                else words.from_prefix_partition_132_231)
-        if args.inverse:
-            if args.n is None:
-                raise ValueError("inverse partition maps need --n")
-            print(format_perm(back(words.parse_partition(args.input), args.n)))
-        else:
-            print(words.format_partition(fwd(parse_perm(args.input))))
-    else:  # 132-to-231
-        if args.inverse:
-            print(format_perm(words.map_231_to_132(parse_perm(args.input))))
-        else:
-            print(format_perm(words.map_132_to_231(parse_perm(args.input))))
+    bij = words.BIJECTIONS[args.name]
+    partition = args.name.endswith("-partition")
+    # the text form of the image: a word, a partition or a permutation
+    parse, fmt = ((words.parse_word, words.format_word) if bij.words
+                  else (words.parse_partition, words.format_partition) if partition
+                  else (parse_perm, format_perm))
+    if not args.inverse:
+        print(fmt(bij.map(parse_perm(args.input))))
+    elif partition:
+        if args.n is None:
+            raise ValueError("inverse partition maps need --n")
+        print(format_perm(bij.inverse(parse(args.input), args.n)))
+    else:
+        print(format_perm(bij.inverse(parse(args.input))))
     return 0
 
 
@@ -330,7 +314,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a reader gone away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (as with `| head`): drop what is still
+        # buffered, so the flush at interpreter exit fails on nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SearchCancelled:
         print("patstat: time limit exceeded, partial results suppressed", file=sys.stderr)
         return 1

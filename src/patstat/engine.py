@@ -34,7 +34,7 @@ from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import Perm, all_perms, complement, format_pattern_set, perm, reverse
+from .perms import Perm, _match_plan, all_perms, complement, format_pattern_set, perm, reverse
 from .polynomials import QPoly, QTPoly
 
 
@@ -68,15 +68,16 @@ def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
 class _CopyTables(NamedTuple):
     """How the prefix copies of one pattern of length >= 4 extend and die.
 
-    ext[j] = (indices i < j with pat[i] < pat[j], indices with pat[i] > pat[j]).
-    order[j] lists the indices of pat[:j] by increasing value, and need[j][g]
-    counts the entries of pat[j:] whose value falls in gap g of pat[:j]
-    (gap 0 below its least value, gap j above its greatest).  moves maps (copy
-    set, r, m) to _step_copies's result, which depends on the pattern alone.
+    plan[j] names the entries of pat[:j] nearest to pat[j] in value
+    (perms._match_plan).  order[j] lists the indices of pat[:j] by
+    increasing value, and need[j][g] counts the entries of pat[j:] whose
+    value falls in gap g of pat[:j] (gap 0 below its least value, gap j
+    above its greatest).  moves maps (copy set, r, m) to _step_copies's
+    result, which depends on the pattern alone.
     """
 
     k: int
-    ext: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    plan: tuple[tuple[int, int], ...]
     order: tuple[tuple[int, ...], ...]
     need: tuple[tuple[int, ...], ...]
     # +1 if pat starts with its minimum, -1 with its maximum, else 0
@@ -95,11 +96,6 @@ _COPY_MOVES_MAX = 1 << 13
 @functools.lru_cache(maxsize=_COPY_TABLE_PATTERNS)
 def _copy_tables(pat: Perm) -> _CopyTables:
     k = len(pat)
-    ext = tuple(
-        (tuple(i for i in range(j) if pat[i] < pat[j]),
-         tuple(i for i in range(j) if pat[i] > pat[j]))
-        for j in range(k - 1)
-    )
     order = []
     need = []
     for j in range(k):
@@ -110,7 +106,7 @@ def _copy_tables(pat: Perm) -> _CopyTables:
         order.append(by_value)
         need.append(tuple(gaps))
     anchor = 1 if pat[0] == 1 else -1 if pat[0] == k else 0
-    return _CopyTables(k, ext, tuple(order), tuple(need), anchor, {})
+    return _CopyTables(k, _match_plan(pat), tuple(order), tuple(need), anchor, {})
 
 
 def _fits(cuts: tuple[int, ...], order: tuple[int, ...], need: tuple[int, ...], m: int) -> bool:
@@ -131,7 +127,7 @@ def _fits(cuts: tuple[int, ...], order: tuple[int, ...], need: tuple[int, ...], 
 def _step_copies(tables: _CopyTables, copies: frozenset, r: int, m: int) -> Optional[frozenset]:
     """The copies after placing the free value of rank r, or None if that
     placement leaves a free value completing a copy of the whole pattern."""
-    k, ext, order, need, anchor, _ = tables
+    k, plan, order, need, anchor, _ = tables
     m1 = m - 1
     out = set()
     for t in copies:
@@ -139,8 +135,10 @@ def _step_copies(tables: _CopyTables, copies: frozenset, r: int, m: int) -> Opti
         moved = tuple(c - 1 if c > r else c for c in t)
         if _fits(moved, order[j], need[j], m1):
             out.add(moved)
-        below, above = ext[j]
-        if all(t[i] <= r for i in below) and all(t[i] > r for i in above):
+        # cuts grow with values, so the nearest entries of pat[:j] below and
+        # above pat[j] decide whether the new value sits between them all
+        lo, hi = plan[j]
+        if (lo < 0 or t[lo] <= r) and (hi < 0 or t[hi] > r):
             longer = moved + (r,)
             if _fits(longer, order[j + 1], need[j + 1], m1):
                 # a copy of pat[:-1] fits iff a free value completes it

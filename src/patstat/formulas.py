@@ -360,8 +360,6 @@ def closed_form(formula_id: str, n: int) -> PolyLike:
 # ---------------------------------------------------------------------------
 # generating-function expansions
 
-SERIES_IDS = ("gf-231-321", "gf-312-321", "gf-231-312-321")
-
 # Each series is a sum over k of q^(k^2) t^k x^(2k) / D_k, where D_k is a
 # product of q-shifted factorials: (x)_k (x)_(k+1), (x)_(k+1) (qx)_k and
 # (x)_(k+1) respectively.  D_0 = 1 - x for all three, and D_k / D_(k-1) is
@@ -371,6 +369,7 @@ _NEW_FACTORS: dict[str, Callable[[int], tuple[int, ...]]] = {
     "gf-312-321": lambda k: (k, k),
     "gf-231-312-321": lambda k: (k,),
 }
+SERIES_IDS = tuple(_NEW_FACTORS)
 
 
 def series_expand(series_id: str, order: int,

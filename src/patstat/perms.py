@@ -156,17 +156,22 @@ def maj(p: Sequence[int]) -> int:
 @lru_cache(maxsize=256)
 def _match_plan(pattern: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """For each j, the indices t < j of the nearest entries below and above
-    pattern[j] (-1 if none), in the order of (value, -index): a match maps
-    pattern[:j] to values ordered that way, so those two entries bound the
-    value that can match pattern[j]."""
-    def key(t: int) -> tuple[int, int]:
-        return pattern[t], -t
+    pattern[j] in value (-1 if none): a match maps pattern[:j] to values in
+    the same order, so those two entries bound the value that can match
+    pattern[j].  The engine reads the same table for the cuts of its
+    partial copies, which grow with the values they stand for.
 
+    Raises ValueError for a pattern with a repeated value, which no
+    sequence of distinct values matches.
+    """
+    if len(set(pattern)) < len(pattern):
+        raise ValueError(f"pattern {pattern} repeats a value")
     plan = []
     for j, v in enumerate(pattern):
         below = [t for t in range(j) if pattern[t] < v]
-        above = [t for t in range(j) if not pattern[t] < v]
-        plan.append((max(below, key=key, default=-1), min(above, key=key, default=-1)))
+        above = [t for t in range(j) if pattern[t] > v]
+        plan.append((max(below, key=pattern.__getitem__, default=-1),
+                     min(above, key=pattern.__getitem__, default=-1)))
     return tuple(plan)
 
 
@@ -176,7 +181,8 @@ def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
     Depth-first subsequence matching from one explicit stack of chosen
     positions; the entries chosen so far bound the value that can match the
     next pattern entry, so each candidate costs two comparisons.  Every
-    permutation contains the empty pattern.
+    permutation contains the empty pattern; a pattern with a repeated value
+    raises ValueError.
 
     >>> contains((4, 3, 6, 1, 5, 2), (1, 3, 2))
     True
@@ -186,10 +192,10 @@ def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
     k = len(pattern)
     if k == 0:
         return True
+    plan = _match_plan(tuple(pattern))
     n = len(p)
     if k > n:
         return False
-    plan = _match_plan(tuple(pattern))
     at = [0] * k  # the positions in p matched to pattern[:j]
     j = i = 0
     while True:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 _COEFF_BOUND = 1 << 63
 
@@ -23,18 +23,20 @@ def _checked(c: int, what: str = "coefficient") -> int:
     return c
 
 
-def _fits(cs: Collection[int]) -> bool:
-    """Whether every coefficient is in the signed 64-bit range, in one min/max pass;
-    when not, callers run _checked on each in order to name the first one."""
-    return not cs or -_COEFF_BOUND < min(cs) <= max(cs) < _COEFF_BOUND
+def _check_all(cs: Sequence[int]) -> None:
+    """Raise OverflowError unless every coefficient is in the signed 64-bit
+    range, naming the first one out of it; one min/max pass when all fit.
+    Each polynomial result is checked this way once, on its finished
+    coefficients, in index (QPoly) or term (QTPoly) order."""
+    if cs and not -_COEFF_BOUND < min(cs) <= max(cs) < _COEFF_BOUND:
+        for c in cs:
+            _checked(c)
 
 
 def _canonical(cs: list[int]) -> tuple[int, ...]:
     """QPoly coefficients from a list of ints (which it consumes): range-checked
     in one pass, trailing zeros stripped once."""
-    if not _fits(cs):
-        for c in cs:
-            _checked(c)
+    _check_all(cs)
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
@@ -147,9 +149,8 @@ class QPoly:
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = _checked(out[i + j] + ca * cb)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
         return QPoly._from_list(out)
 
     def __rmul__(self, scalar: int) -> "QPoly":
@@ -234,17 +235,19 @@ class QTPoly:
         object.__setattr__(self, "terms", QTPoly._from_acc(acc).terms)
 
     @staticmethod
-    def _from_acc(acc: dict[tuple[int, int], int]) -> "QTPoly":
-        """The one builder: from a {(t_exp, q_exp): coeff} dict with nonnegative int
-        exponents, sort by (t_exp, q_exp), drop zeros and check the coefficients in
-        one pass (naming the first one out of range in term order)."""
-        items = sorted(acc.items())
-        if not _fits(acc.values()):
-            for _, c in items:
-                _checked(c)
+    def _from_terms(terms: tuple[tuple[int, int, int], ...]) -> "QTPoly":
+        """The one builder, from nonzero terms in (t_exp, q_exp) order: checks
+        the coefficients in one pass (naming the first one out of range)."""
+        _check_all([c for _, _, c in terms])
         p = object.__new__(QTPoly)
-        object.__setattr__(p, "terms", tuple([(qe, te, c) for (te, qe), c in items if c]))
+        object.__setattr__(p, "terms", terms)
         return p
+
+    @staticmethod
+    def _from_acc(acc: dict[tuple[int, int], int]) -> "QTPoly":
+        """From a {(t_exp, q_exp): coeff} dict with nonnegative int exponents:
+        sorted by (t_exp, q_exp), zeros dropped."""
+        return QTPoly._from_terms(tuple([(qe, te, c) for (te, qe), c in sorted(acc.items()) if c]))
 
     @staticmethod
     def zero() -> "QTPoly":
@@ -296,13 +299,8 @@ class QTPoly:
     def _times_term(self, q_exp: int, t_exp: int, coeff: int) -> "QTPoly":
         """self * coeff q^q_exp t^t_exp for a nonzero coeff: shifting every exponent
         keeps the term order, so nothing is sorted."""
-        terms = tuple([(qe + q_exp, te + t_exp, coeff * c) for qe, te, c in self.terms])
-        if not _fits([c for _, _, c in terms]):
-            for _, _, c in terms:
-                _checked(c)
-        p = object.__new__(QTPoly)
-        object.__setattr__(p, "terms", terms)
-        return p
+        return QTPoly._from_terms(
+            tuple([(qe + q_exp, te + t_exp, coeff * c) for qe, te, c in self.terms]))
 
     def __rmul__(self, scalar: int) -> "QTPoly":
         return self._times_term(0, 0, scalar) if scalar else QTPoly.zero()

@@ -293,16 +293,17 @@ def _product_form_bridge(nmax: int) -> Outcomes:
         yield left.specialize_t1() == right or f"product forms disagree at n={n}"
 
 
+def _word_bijections() -> list[tuple[str, words.Bijection]]:
+    """The entries of words.BIJECTIONS that map onto 0/1 words."""
+    return [(name, b) for name, b in words.BIJECTIONS.items() if b.words]
+
+
 def _series_coefficients(order: int, should_stop: Stop) -> Outcomes:
-    targets = {
-        "gf-231-321": ((2, 3, 1), (3, 2, 1)),
-        "gf-312-321": ((3, 1, 2), (3, 2, 1)),
-        "gf-231-312-321": ((2, 3, 1), (3, 1, 2), (3, 2, 1)),
-    }
-    for sid, pats in targets.items():
+    for name, b in _word_bijections():
+        sid = f"gf-{name}"
         s = formulas.series_expand(sid, order, should_stop)
         for n in range(order + 1):
-            yield (s[n] == engine.maj_des_poly(n, pats, should_stop)
+            yield (s[n] == engine.maj_des_poly(n, b.patterns, should_stop)
                    or f"{sid} coefficient of x^{n} disagrees")
 
 
@@ -369,32 +370,20 @@ def _image_characterizations(max_len: int, should_stop: Stop) -> Outcomes:
 def _word_transport(nmax: int, should_stop: Stop) -> Outcomes:
     """Summing q^maj t^des over each word set must reproduce the avoidance
     polynomial carried over by the descent-preserving bijections."""
-    targets = (
-        (words.in_start_one_set, ((2, 3, 1), (3, 2, 1)), "start-with-1"),
-        (words.in_end_zero_set, ((3, 1, 2), (3, 2, 1)), "end-with-0"),
-        (words.in_sparse_set, ((2, 3, 1), (3, 1, 2), (3, 2, 1)), "no-11-end-0"),
-    )
     for n in range(nmax + 1):
-        for member, pats, label in targets:
+        for name, b in _word_bijections():
             acc: dict[tuple[int, int], int] = {}
             for v in itertools.product((0, 1), repeat=n):
-                if member(v):
+                if b.words(v):
                     s = words.word_stats(v)
                     acc[(s.maj, s.des)] = acc.get((s.maj, s.des), 0) + 1
-            yield (QTPoly.from_counts(acc) == engine.maj_des_poly(n, pats, should_stop)
-                   or f"word sum != avoidance polynomial ({label}, n={n})")
+            yield (QTPoly.from_counts(acc) == engine.maj_des_poly(n, b.patterns, should_stop)
+                   or f"word sum != avoidance polynomial ({name}, n={n})")
 
 
 def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outcomes:
     for n in range(nmax + 1):
-        for pats, fwd, back, member in (
-            (((2, 3, 1), (3, 2, 1)), words.to_word_231_321, words.from_word_231_321,
-             words.in_start_one_set),
-            (((3, 1, 2), (3, 2, 1)), words.to_word_312_321, words.from_word_312_321,
-             words.in_end_zero_set),
-            (((2, 3, 1), (3, 1, 2), (3, 2, 1)), words.to_word_231_312_321,
-             words.from_word_231_312_321, words.in_sparse_set),
-        ):
+        for _, (pats, fwd, back, member) in _word_bijections():
             avoiders = list(engine.enumerate_avoiders(n, pats, should_stop))
             images = [fwd(p) for p in avoiders]
             target = [w for w in itertools.product((0, 1), repeat=n) if member(w)]
@@ -418,12 +407,9 @@ def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outco
                        for p, t in _polled(zip(avoiders, images), should_stop))
                    or f"descent transport inverse fails at n={n}")
     for n in range(partition_nmax + 1):
-        for pats, fwd, back, stat in (
-            (((1, 3, 2), (2, 1, 3)), words.descent_partition_132_213,
-             words.from_descent_partition_132_213, "maj"),
-            (((1, 3, 2), (2, 3, 1)), words.prefix_partition_132_231,
-             words.from_prefix_partition_132_231, "inv"),
-        ):
+        # the statistic that each partition's size carries
+        for name, stat in (("132-213-partition", perms.maj), ("132-231-partition", perms.inv)):
+            pats, fwd, back, _ = words.BIJECTIONS[name]
             avoiders = list(engine.enumerate_avoiders(n, pats, should_stop))
             images = [fwd(p) for p in avoiders]
             ground = range(n - 1, 0, -1)
@@ -437,11 +423,10 @@ def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outco
             elif any(back(lam, n) != p for p, lam in zip(avoiders, images)):
                 yield f"partition inverse fails for {pats} at n={n}"
             else:
-                statfn = perms.maj if stat == "maj" else perms.inv
                 yield (
-                    all(sum(lam) == statfn(p) for p, lam in zip(avoiders, images))
-                    or f"partition size misses {stat} for {pats} at n={n}",
-                    stat != "maj"
+                    all(sum(lam) == stat(p) for p, lam in zip(avoiders, images))
+                    or f"partition size misses {stat.__name__} for {pats} at n={n}",
+                    stat is not perms.maj
                     or all(len(lam) == perms.des(p) for p, lam in zip(avoiders, images))
                     or f"part count misses des for {pats} at n={n}",
                 )

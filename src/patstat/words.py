@@ -12,12 +12,14 @@ matches the descent number of the preimage under the rearrangement map.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .perms import (
     Perm,
     avoids_all,
     descent_set,
+    format_perm,
     left_right_maxima,
     right_left_minima,
 )
@@ -161,31 +163,12 @@ def from_durfee(d: int, beta: Sequence[int], rho: Sequence[int]) -> Word:
 def _run_decomposition(v: Word) -> tuple[list[int], list[int]]:
     """Split v into 0^m0 1^n0 0^m1 1^n1 ... 0^mk 1^nk with the interior runs
     positive; returns (ms, ns) of equal length k+1."""
-    ms: list[int] = []
-    ns: list[int] = []
-    i = 0
-    n = len(v)
-    expecting_zero_run = True
-    while i < n:
-        if expecting_zero_run:
-            j = i
-            while j < n and v[j] == 0:
-                j += 1
-            ms.append(j - i)
-            i = j
-            expecting_zero_run = False
-        else:
-            j = i
-            while j < n and v[j] == 1:
-                j += 1
-            ns.append(j - i)
-            i = j
-            expecting_zero_run = True
-    if len(ns) < len(ms):
-        ns.append(0)
-    if not ms:
-        ms, ns = [0], [0]
-    return ms, ns
+    # the runs alternate, so an empty run of zeros goes before a leading 1
+    # (or stands for the empty word) and an empty run of ones closes the list
+    lengths = [0] * (not v or v[0] == 1) + [len(list(run)) for _, run in groupby(v)]
+    if len(lengths) % 2:
+        lengths.append(0)
+    return lengths[::2], lengths[1::2]
 
 
 def foata(v: Word) -> Word:
@@ -219,29 +202,20 @@ def foata_inverse(w: Word) -> Word:
     k = durfee(w)
     if k == 0:
         return w
+    # w = 0^(mk-1) 1 ... 0^(m1-1) 1, then the tail 0^m0 1^(n0-1) 0 ... 1^(n(k-1)-1) 0 1^nk
     ms = [0] * (k + 1)
     i = 0
     for sep in range(k, 0, -1):
-        j = i
-        while w[j] == 0:
-            j += 1
-        ms[sep] = (j - i) + 1
+        j = w.index(1, i)
+        ms[sep] = j - i + 1
         i = j + 1
     tail = w[i:]
-    zero_positions = [idx for idx, x in enumerate(tail) if x == 0]
-    m0 = len(zero_positions) - k
-    if m0 < 0:
+    ms[0] = tail.count(0) - k
+    if ms[0] < 0:
         raise AssertionError("word escaped the image of the rearrangement")
-    ms[0] = m0
-    ns = [0] * (k + 1)
-    sep_zeros = zero_positions[m0:]
-    prev = -1
-    ones_before = 0
-    for idx in range(k):
-        pos = sep_zeros[idx]
-        ns[idx] = sum(1 for x in tail[prev + 1 : pos] if x == 1) + 1
-        prev = pos
-    ns[k] = sum(1 for x in tail[prev + 1 :] if x == 1)
+    rest = tail[ms[0]:]
+    zeros = [-1] + [idx for idx, x in enumerate(rest) if x == 0]
+    ns = [b - a for a, b in zip(zeros, zeros[1:])] + [len(rest) - 1 - zeros[-1]]
     out: list[int] = []
     for m, n1 in zip(ms, ns):
         out.extend([0] * m)
@@ -272,12 +246,19 @@ def in_sparse_set(w: Word) -> bool:
 # descent-preserving bijections onto word sets
 
 
+def _avoiding(p: Perm, patterns: tuple[Perm, ...]) -> Perm:
+    """p itself if it avoids every pattern, else ValueError naming them."""
+    if avoids_all(p, patterns):
+        return p
+    names = [format_perm(q) for q in patterns]
+    listed = ", ".join(names[:-1]) + " or " + names[-1] if len(names) > 1 else names[0]
+    raise ValueError(f"{p} contains {listed}")
+
+
 def to_word_231_321(p: Perm) -> Word:
     """Indicator word of the left-right maxima; starts with 1 when nonempty
     and preserves the descent set on the avoiders of 231 and 321."""
-    if not avoids_all(p, ((2, 3, 1), (3, 2, 1))):
-        raise ValueError(f"{p} contains 231 or 321")
-    maxima = set(left_right_maxima(p))
+    maxima = set(left_right_maxima(_avoiding(p, BIJECTIONS["231-321"].patterns)))
     return tuple(1 if i in maxima else 0 for i in range(1, len(p) + 1))
 
 
@@ -306,9 +287,7 @@ def _zero_right_left_minima(p: Perm) -> Word:
 def to_word_312_321(p: Perm) -> Word:
     """Zero out the right-left minima; ends with 0 when nonempty and
     preserves the descent set on the avoiders of 312 and 321."""
-    if not avoids_all(p, ((3, 1, 2), (3, 2, 1))):
-        raise ValueError(f"{p} contains 312 or 321")
-    return _zero_right_left_minima(p)
+    return _zero_right_left_minima(_avoiding(p, BIJECTIONS["312-321"].patterns))
 
 
 def from_word_312_321(w: Word) -> Perm:
@@ -332,9 +311,7 @@ def to_word_231_312_321(p: Perm) -> Word:
     """Zero out the right-left minima; lands in the words with no adjacent
     ones that end in 0, preserving the descent set on the avoiders of
     231, 312 and 321."""
-    if not avoids_all(p, ((2, 3, 1), (3, 1, 2), (3, 2, 1))):
-        raise ValueError(f"{p} contains 231, 312 or 321")
-    return _zero_right_left_minima(p)
+    return _zero_right_left_minima(_avoiding(p, BIJECTIONS["231-312-321"].patterns))
 
 
 def from_word_231_312_321(w: Word) -> Perm:
@@ -360,8 +337,7 @@ def descent_partition_132_213(p: Perm) -> Partition:
     """Descent set in decreasing order; on the avoiders of 132 and 213 this
     is a bijection onto distinct-part partitions bounded by n-1, carrying
     des to the number of parts and maj to the size."""
-    if not avoids_all(p, ((1, 3, 2), (2, 1, 3))):
-        raise ValueError(f"{p} contains 132 or 213")
+    p = _avoiding(p, BIJECTIONS["132-213-partition"].patterns)
     return tuple(sorted(descent_set(p), reverse=True))
 
 
@@ -384,12 +360,8 @@ def prefix_partition_132_231(p: Perm) -> Partition:
     """Decreasing prefix before the entry 1, each entry lowered by one; on
     the avoiders of 132 and 231 this is a bijection onto distinct-part
     partitions bounded by n-1, carrying inv to the size."""
-    if not avoids_all(p, ((1, 3, 2), (2, 3, 1))):
-        raise ValueError(f"{p} contains 132 or 231")
-    if not p:
-        return ()
-    pos = p.index(1)
-    return tuple(v - 1 for v in p[:pos])
+    p = _avoiding(p, BIJECTIONS["132-231-partition"].patterns)
+    return tuple(v - 1 for v in p[:p.index(1)]) if p else ()
 
 
 def from_prefix_partition_132_231(parts: Sequence[int], n: int) -> Perm:
@@ -410,9 +382,7 @@ def from_prefix_partition_132_231(parts: Sequence[int], n: int) -> Perm:
 def map_132_to_231(p: Perm) -> Perm:
     """Descent-preserving bijection from the 132-avoiders onto the
     231-avoiders, defined recursively on the position of the maximum."""
-    if not avoids_all(p, ((1, 3, 2),)):
-        raise ValueError(f"{p} contains 132")
-    return _map_132(p)
+    return _map_132(_avoiding(p, BIJECTIONS["132-to-231"].patterns))
 
 
 def _map_132(p: Perm) -> Perm:
@@ -430,9 +400,7 @@ def _map_132(p: Perm) -> Perm:
 
 def map_231_to_132(p: Perm) -> Perm:
     """Inverse of map_132_to_231."""
-    if not avoids_all(p, ((2, 3, 1),)):
-        raise ValueError(f"{p} contains 231")
-    return _map_231(p)
+    return _map_231(_avoiding(p, ((2, 3, 1),)))
 
 
 def _map_231(p: Perm) -> Perm:
@@ -446,3 +414,35 @@ def _map_231(p: Perm) -> Perm:
     gr = _map_231(right_std)
     k = len(right_std)
     return tuple(v + k for v in gl) + (n,) + gr
+
+
+# ---------------------------------------------------------------------------
+# the bijections by name
+
+
+class Bijection(NamedTuple):
+    """An explicit bijection from Av_n(patterns): map and inverse, and for a
+    map onto 0/1 words the membership test of its image (None otherwise).
+    A partition inverse takes the length n as its second argument."""
+
+    patterns: tuple[Perm, ...]
+    map: Callable
+    inverse: Callable
+    words: Optional[Callable[[Word], bool]] = None
+
+
+#: The explicit bijections, keyed by their command line names.  Each word
+#: bijection's image is counted by the series "gf-<name>".
+BIJECTIONS: dict[str, Bijection] = {
+    "231-321": Bijection(((2, 3, 1), (3, 2, 1)), to_word_231_321, from_word_231_321,
+                         in_start_one_set),
+    "312-321": Bijection(((3, 1, 2), (3, 2, 1)), to_word_312_321, from_word_312_321,
+                         in_end_zero_set),
+    "231-312-321": Bijection(((2, 3, 1), (3, 1, 2), (3, 2, 1)), to_word_231_312_321,
+                             from_word_231_312_321, in_sparse_set),
+    "132-213-partition": Bijection(((1, 3, 2), (2, 1, 3)), descent_partition_132_213,
+                                   from_descent_partition_132_213),
+    "132-231-partition": Bijection(((1, 3, 2), (2, 3, 1)), prefix_partition_132_231,
+                                   from_prefix_partition_132_231),
+    "132-to-231": Bijection(((1, 3, 2),), map_132_to_231, map_231_to_132),
+}

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import re
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from patstat import cli, engine
+from patstat import cli, engine, formulas, words
 from patstat.perms import format_perm
 
 
@@ -115,6 +116,46 @@ def test_bijection_commands(capsys):
     assert code == 0 and out.strip() == "321"
     code, out, _ = run_cli(["bijection", "--name", "132-to-231", "--input", "4213"], capsys)
     assert code == 0 and out.strip() == "4213"
+
+
+def test_bijection_names_are_the_table():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in commands.choices["bijection"]._actions if a.dest == "name")
+    assert tuple(name.choices) == tuple(words.BIJECTIONS)
+    for key, bij in words.BIJECTIONS.items():
+        if bij.words:
+            assert f"gf-{key}" in formulas.SERIES_IDS
+
+
+@pytest.mark.parametrize("name", list(words.BIJECTIONS))
+def test_every_bijection_round_trips_through_the_command(name, capsys):
+    patterns = words.BIJECTIONS[name].patterns
+    for n in range(7):
+        for p in engine.enumerate_avoiders(n, patterns):
+            code, image, _ = run_cli(["bijection", "--name", name, "--input", format_perm(p)],
+                                     capsys)
+            assert code == 0, p
+            back = ["bijection", "--name", name, "--input", image.strip(), "--inverse"]
+            if name.endswith("-partition"):
+                back += ["--n", str(n)]
+            code, out, _ = run_cli(back, capsys)
+            assert (code, out) == (0, format_perm(p) + "\n"), (p, image)
+
+
+@pytest.mark.parametrize("name, member, message", [
+    ("231-321", "2413", "(2, 4, 1, 3) contains 231 or 321"),
+    ("312-321", "3142", "(3, 1, 4, 2) contains 312 or 321"),
+    ("231-312-321", "321", "(3, 2, 1) contains 231, 312 or 321"),
+    ("132-213-partition", "1432", "(1, 4, 3, 2) contains 132 or 213"),
+    ("132-231-partition", "2431", "(2, 4, 3, 1) contains 132 or 231"),
+    ("132-to-231", "1324", "(1, 3, 2, 4) contains 132"),
+])
+def test_bijection_refuses_a_non_member(name, member, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bijection", "--name", name, "--input", member])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", f"patstat: {message}\n")
 
 
 def test_mahonian_exit_codes(capsys):
@@ -289,6 +330,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["enumerate", "--n", "8", "--avoid", ""], 1),
+    (["classify", "--k", "3", "--size", "1", "--stat", "inv", "--nmax", "5"], 0),
+    (["verify", "--suite", "paper", "--nmax", "1"], 0),
+], ids=["enumerate", "classify", "verify"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(argv, lines):
+    # as with `patstat ... | head`: exit 1, with no traceback and nothing
+    # said about the flush at interpreter exit
+    proc = subprocess.Popen([sys.executable, "-m", "patstat.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_one_process_runs_many_commands(capsys, monkeypatch):

@@ -110,6 +110,42 @@ def test_copy_tables_do_not_depend_on_query_order():
         assert _query(*key) == want[key], key
 
 
+def test_nearest_entries_decide_whether_a_copy_extends():
+    # _step_copies extends a copy t of pat[:j] (t[i] the cut of the entry
+    # matched to pat[i]) by the free value of rank r iff every entry below
+    # pat[j] has cut <= r and every entry above has cut > r.  Cuts grow with
+    # the values they stand for, so the nearest entry on each side, as named
+    # by perms._match_plan, decides that with two comparisons.
+    def every_entry(pat, t, r):
+        j = len(t)
+        return (all(t[i] <= r for i in range(j) if pat[i] < pat[j])
+                and all(t[i] > r for i in range(j) if pat[i] > pat[j]))
+
+    def nearest(pat, t, r):
+        lo, hi = perms._match_plan(pat)[len(t)]
+        return (lo < 0 or t[lo] <= r) and (hi < 0 or t[hi] > r)
+
+    rng = random.Random(14)
+    seen = Counter()
+    for k in range(3, 7):
+        for pat in perms.all_perms(k):
+            for _ in range(12):
+                j = rng.randrange(1, k)
+                m = rng.randrange(1, 2 * k)
+                cuts = sorted(rng.randrange(m + 1) for _ in range(j))
+                t = [0] * j
+                for c, i in zip(cuts, sorted(range(j), key=pat.__getitem__)):
+                    t[i] = c
+                r = rng.randrange(m)
+                want = every_entry(pat, t, r)
+                assert nearest(pat, t, r) == want, (pat, t, r)
+                seen[want] += 1
+                # cuts that do not grow with the values break the shortcut
+                shuffled = rng.sample(t, j)
+                seen["differs"] += nearest(pat, shuffled, r) != every_entry(pat, shuffled, r)
+    assert seen[True] and seen[False] and seen["differs"]
+
+
 def test_cancelled_profile_keeps_only_complete_moves():
     pats = ((1, 3, 2, 4), (2, 4, 1, 3))
     flipped = tuple(perms.complement(perms.reverse(p)) for p in pats)

@@ -44,6 +44,23 @@ def test_contains_matches_brute_force():
                 assert perms.contains(p, pat) == contains_brute(p, pat), (p, pat)
 
 
+def test_pattern_with_a_repeated_value_is_rejected():
+    # no sequence of distinct values is order isomorphic to (1, 1)
+    with pytest.raises(ValueError, match=r"^pattern \(1, 1\) repeats a value$"):
+        perms.contains((2, 1), (1, 1))
+    with pytest.raises(ValueError):
+        perms.contains((3, 1, 2), (2, 1, 2))
+
+
+def test_pattern_of_distinct_nonconsecutive_values_matches_its_standard_form():
+    # (2, 5, 3) is order isomorphic to 132 and matches exactly where 132 does
+    for n in range(6):
+        for p in perms.all_perms(n):
+            assert perms.contains(p, (2, 5, 3)) == contains_brute(p, (1, 3, 2)), p
+    assert perms.contains((4, 3, 6, 1, 5, 2), (2, 5, 3))
+    assert not perms.contains((3, 2, 1), (2, 5, 3))
+
+
 def test_avoids_all():
     assert not perms.avoids_all((4, 3, 6, 1, 5, 2), ((1, 3, 2),))
     assert perms.avoids_all((2, 4, 1, 3), ())

@@ -73,6 +73,20 @@ def test_overflow_names_the_first_coefficient_out_of_range():
     assert QPoly((-(2**63) + 1, 2**63 - 1)).coeffs == (-(2**63) + 1, 2**63 - 1)
 
 
+def test_qpoly_product_is_checked_on_its_finished_coefficients():
+    # the rule of every polynomial result: a partial sum may leave the signed
+    # 64-bit range (here 2^62 + 2^62 in the q^2 coefficient) as long as the
+    # finished coefficient fits, as it does under wrapping 64-bit arithmetic
+    a, b = QPoly((1, 1, -1)), QPoly((1, 2**62, 2**62))
+    assert (a * b).coeffs == (1, 2**62 + 1, 2**63 - 1, 0, -(2**62))
+    # when one does not fit, the error names the first finished coefficient
+    # out of range in index order, not the partial sum that left it first
+    with pytest.raises(OverflowError, match=f"^coefficient {-(2**63)} exceeds"):
+        QPoly((1, 1, -2)) * b
+    with pytest.raises(OverflowError, match=f"^coefficient {2**64} exceeds"):
+        QPoly((2**32, 2**32)) * QPoly((2**32, 2**32))
+
+
 def test_qpoly_normalizes_int_like_coefficients():
     p = QPoly([True, Fraction(4, 2), 3.0, 0, False])
     assert p.coeffs == (1, 2, 3) and all(type(c) is int for c in p.coeffs)
