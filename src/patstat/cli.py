@@ -157,7 +157,7 @@ def _cmd_enumerate(args) -> int:
               file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps({"n": args.n, "patterns": args.avoid and args.avoid.split(",") or [],
+        print(json.dumps({"n": args.n, "patterns": list(map(format_perm, patterns)),
                           "avoiders": out}))
     elif args.format == "csv":
         print("\n".join(["perm"] + out))

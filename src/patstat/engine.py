@@ -463,12 +463,10 @@ def count_avoiders(n: int, patterns: Iterable[Sequence[int]],
 def stat_poly(n: int, patterns: Iterable[Sequence[int]], stat: str,
               should_stop: Optional[Callable[[], bool]] = None) -> QPoly:
     """Generating polynomial sum of q^stat over the avoidance set."""
+    if stat not in ("inv", "maj"):
+        raise ValueError(f"unknown statistic {stat!r}; expected 'inv' or 'maj'")
     prof = profile(n, patterns, should_stop=should_stop)
-    if stat == "inv":
-        return prof.inv_poly
-    if stat == "maj":
-        return prof.majdes_poly.specialize_t1()
-    raise ValueError(f"unknown statistic {stat!r}; expected 'inv' or 'maj'")
+    return prof.inv_poly if stat == "inv" else prof.majdes_poly.specialize_t1()
 
 
 def maj_des_poly(n: int, patterns: Iterable[Sequence[int]],
@@ -540,6 +538,9 @@ def classify(
     """
     if stat not in _CLASSIFY_STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {_CLASSIFY_STATS}")
+    for name, value in (("ground length", ground_length), ("subset size", subset_size)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
     if n_max < ground_length:
         raise ValueError("n_max must be at least the pattern length")
     ground = sorted(all_perms(ground_length))

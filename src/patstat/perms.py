@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -23,26 +22,28 @@ EMPTY: Perm = ()
 #: The eight rigid motions of the square diagram: rotations are
 #: counterclockwise, reflections are keyed by the slope of their axis
 #: ("rinf" = vertical axis = reversal, "r0" = horizontal axis = complement).
-SYMMETRIES: tuple[str, ...] = ("R0", "R90", "R180", "R270", "r-1", "r0", "r1", "rinf")
+#: Each is (inverse?, reverse?, complement?), applied in that order.
+_STEPS: dict[str, tuple[bool, bool, bool]] = {
+    "R0": (False, False, False),
+    "R90": (True, True, False),
+    "R180": (False, True, True),
+    "R270": (True, False, True),
+    "r-1": (True, True, True),
+    "r0": (False, False, True),
+    "r1": (True, False, False),
+    "rinf": (False, True, False),
+}
+SYMMETRIES: tuple[str, ...] = tuple(_STEPS)
 
-#: Symmetries that fix the inversion number; the remaining four send
-#: inv to C(n,2) - inv.
-INV_PRESERVING: tuple[str, ...] = ("R0", "R180", "r-1", "r1")
-INV_REVERSING: tuple[str, ...] = ("R90", "R270", "r0", "rinf")
+#: The inverse keeps inv, and reversal and complement each send it to
+#: C(n,2) - inv: a symmetry keeps inv iff it takes both or neither.
+INV_PRESERVING: tuple[str, ...] = tuple(f for f, (_, r, c) in _STEPS.items() if r == c)
+INV_REVERSING: tuple[str, ...] = tuple(f for f, (_, r, c) in _STEPS.items() if r != c)
 
 _TAG_ALIASES = {"r∞": "rinf", "rINF": "rinf"}
 
-#: Point maps (x, y, m) -> (x', y') on the diagram {(i, a_i)}, with m = n + 1.
-_POINT_MAPS = {
-    "R0": lambda x, y, m: (x, y),
-    "R90": lambda x, y, m: (m - y, x),
-    "R180": lambda x, y, m: (m - x, m - y),
-    "R270": lambda x, y, m: (y, m - x),
-    "r-1": lambda x, y, m: (m - y, m - x),
-    "r0": lambda x, y, m: (x, m - y),
-    "r1": lambda x, y, m: (y, x),
-    "rinf": lambda x, y, m: (m - x, y),
-}
+#: No symmetry but R0 fixes this permutation, so its image names the symmetry.
+_SAMPLE: Perm = (1, 3, 4, 2)
 
 
 def is_perm(values: Sequence[int]) -> bool:
@@ -249,26 +250,9 @@ def inverse(p: Perm) -> Perm:
 
 def normalize_symmetry(tag: str) -> str:
     tag = _TAG_ALIASES.get(tag, tag)
-    if tag not in _POINT_MAPS:
+    if tag not in _STEPS:
         raise ValueError(f"unknown symmetry {tag!r}; expected one of {SYMMETRIES}")
     return tag
-
-
-@lru_cache(maxsize=128)
-def _symmetry_plan(tag: str, n: int) -> tuple[bool, itemgetter, tuple[int, ...]]:
-    """How one symmetry acts on S_n, read off its point map: whether it starts
-    from the inverse (whose diagram swaps x and y), then which position each
-    entry is read from, and the value each entry v becomes (at index v)."""
-    f = _POINT_MAPS[tag]
-    m = n + 1
-    # each output coordinate of a point map follows one input coordinate;
-    # when x' follows y, the map acts on the inverse's diagram as (x, y) -> f(y, x)
-    swap = f(1, 2, m)[0] != f(1, 3, m)[0]
-    g = (lambda x, y: f(y, x, m)) if swap else (lambda x, y: f(x, y, m))
-    source = [0] * n
-    for x in range(1, n + 1):
-        source[g(x, 1)[0] - 1] = x - 1
-    return swap, itemgetter(*source), (0,) + tuple(g(1, y)[1] for y in range(1, m))
 
 
 def apply_symmetry(tag: str, p: Perm) -> Perm:
@@ -279,25 +263,20 @@ def apply_symmetry(tag: str, p: Perm) -> Perm:
     >>> apply_symmetry("R90", (1, 3, 2))
     (2, 3, 1)
     """
-    tag = normalize_symmetry(tag)
-    if len(p) < 2:
-        return tuple(p)
-    swap, read, value = _symmetry_plan(tag, len(p))
-    return tuple(map(value.__getitem__, read(inverse(p) if swap else p)))
+    inv_step, rev_step, comp_step = _STEPS[normalize_symmetry(tag)]
+    p = tuple(p)
+    if inv_step:
+        p = inverse(p)
+    if rev_step:
+        p = p[::-1]
+    return complement(p) if comp_step else p
 
 
 @lru_cache(maxsize=None)
 def compose_symmetries(outer: str, inner: str) -> str:
     """The tag h with apply(h, p) == apply(outer, apply(inner, p)) for all p."""
-    fo = _POINT_MAPS[normalize_symmetry(outer)]
-    fi = _POINT_MAPS[normalize_symmetry(inner)]
-    samples = [(1, 2), (2, 5), (3, 1)]
-    m = 7
-    want = [fo(*fi(x, y, m), m) for x, y in samples]
-    for tag, fh in _POINT_MAPS.items():
-        if [fh(x, y, m) for x, y in samples] == want:
-            return tag
-    raise AssertionError("symmetry composition escaped the dihedral group")
+    image = apply_symmetry(outer, apply_symmetry(inner, _SAMPLE))
+    return next(tag for tag in _STEPS if apply_symmetry(tag, _SAMPLE) == image)
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,11 @@ def q_int(n: int) -> QPoly:
 # bivariate polynomials in q and t
 
 
-def _sum_of_products(pairs: Iterable[tuple["QTPoly", "QTPoly"]], sign: int = 1) -> "QTPoly":
-    """sign * (sum of a * b over the pairs), accumulated in one dict and built once."""
+def _sum_of_products(pairs: Iterable[tuple["QTPoly", "QTPoly"]]) -> "QTPoly":
+    """The sum of a * b over the pairs, accumulated in one dict and built once."""
     acc: dict[tuple[int, int], int] = {}
     for a, b in pairs:
         for qa, ta, ca in a.terms:
-            ca *= sign
             for qb, tb, cb in b.terms:
                 key = (ta + tb, qa + qb)
                 acc[key] = acc.get(key, 0) + ca * cb

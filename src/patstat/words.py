@@ -252,7 +252,7 @@ def _avoiding(p: Perm, patterns: tuple[Perm, ...]) -> Perm:
         return p
     names = [format_perm(q) for q in patterns]
     listed = ", ".join(names[:-1]) + " or " + names[-1] if len(names) > 1 else names[0]
-    raise ValueError(f"{p} contains {listed}")
+    raise ValueError(f"{format_perm(p)} contains {listed}")
 
 
 def to_word_231_321(p: Perm) -> Word:

@@ -258,6 +258,14 @@ def test_stat_poly_examples():
         engine.stat_poly(3, (), "exc")
 
 
+def test_stat_poly_checks_the_statistic_before_the_search():
+    pats = ((1, 3, 2, 4),)
+    engine._profile_cache.pop((9, pats), None)
+    with pytest.raises(ValueError, match="unknown statistic 'des'"):
+        engine.stat_poly(9, pats, "des")
+    assert (9, pats) not in engine._profile_cache
+
+
 def test_stat_multiset():
     pats = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1))
     assert engine.stat_multiset(pats, "inv") == (0, 1, 1, 2, 3)

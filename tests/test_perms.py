@@ -118,8 +118,22 @@ def test_unknown_symmetry_rejected():
         perms.apply_symmetry("R45", ())
 
 
+#: Point maps (x, y, m) -> (x', y') on the diagram {(i, a_i)}, with m = n + 1:
+#: the eight symmetries written out independently of perms' own definition.
+_POINT_MAPS = {
+    "R0": lambda x, y, m: (x, y),
+    "R90": lambda x, y, m: (m - y, x),
+    "R180": lambda x, y, m: (m - x, m - y),
+    "R270": lambda x, y, m: (y, m - x),
+    "r-1": lambda x, y, m: (m - y, m - x),
+    "r0": lambda x, y, m: (x, m - y),
+    "r1": lambda x, y, m: (y, x),
+    "rinf": lambda x, y, m: (m - x, y),
+}
+
+
 def _by_point_map(tag, p):
-    f = perms._POINT_MAPS[perms.normalize_symmetry(tag)]
+    f = _POINT_MAPS[perms.normalize_symmetry(tag)]
     out = [0] * len(p)
     for i, v in enumerate(p, 1):
         x, y = f(i, v, len(p) + 1)
@@ -132,8 +146,23 @@ def test_symmetry_tables_match_point_maps():
         for p in perms.all_perms(n):
             for tag in perms.SYMMETRIES + ("r∞", "rINF"):
                 assert perms.apply_symmetry(tag, p) == _by_point_map(tag, p), (tag, p)
-    # one table per (tag, length), and only so many kept
-    assert perms._symmetry_plan.cache_info().maxsize == 128
+
+
+def test_sample_tells_the_symmetries_apart():
+    # compose_symmetries names a composite by its image of the sample
+    images = {perms.apply_symmetry(f, perms._SAMPLE) for f in perms.SYMMETRIES}
+    assert len(images) == len(perms.SYMMETRIES)
+
+
+def test_composition_acts_as_both_symmetries_in_turn():
+    for f in perms.SYMMETRIES:
+        for g in perms.SYMMETRIES:
+            h = perms.compose_symmetries(f, g)
+            for n in range(6):
+                for p in perms.all_perms(n):
+                    assert perms.apply_symmetry(h, p) == perms.apply_symmetry(
+                        f, perms.apply_symmetry(g, p)
+                    ), (f, g, p)
 
 
 def test_inflate_worked_examples():
