@@ -34,7 +34,8 @@ from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import Perm, _match_plan, all_perms, complement, format_pattern_set, perm, reverse
+from .perms import (STAT_MOVES, Perm, _match_plan, all_perms, apply_symmetry,
+                    format_pattern_set, perm)
 from .polynomials import QPoly, QTPoly
 
 
@@ -351,9 +352,31 @@ class Profile:
         """The size of the set; like every coefficient, it must fit in 64 bits."""
         return self.inv_poly.eval_at_q1()
 
+    def moved(self, n: int, tag: str) -> "Profile":
+        """The profile of Av_n(g(P)), if this is that of Av_n(P), for the
+        symmetry g named by tag, one of perms.STAT_MOVES."""
+        return Profile(moved_inv(self.inv_poly, n, tag), moved_majdes(self.majdes_poly, n, tag))
+
+
+def moved_inv(poly: QPoly, n: int, tag: str) -> QPoly:
+    """The inv polynomial of Av_n(g(P)) from that of Av_n(P), for the symmetry
+    g named by tag, one of perms.STAT_MOVES."""
+    rule = STAT_MOVES[tag]
+    out = [0] * (math.comb(n, 2) + 1)
+    for i, c in enumerate(poly.coeffs):
+        out[rule(n, i, 0, 0)[0]] = c
+    return QPoly(out)
+
+
+def moved_majdes(poly: QTPoly, n: int, tag: str) -> QTPoly:
+    """The maj/des polynomial of Av_n(g(P)) from that of Av_n(P), as moved_inv."""
+    rule = STAT_MOVES[tag]
+    return QTPoly.from_counts({rule(n, 0, maj, des)[1:]: c for maj, des, c in poly.terms})
+
 
 def _anchored(patterns: Iterable[Perm]) -> int:
-    return sum(p[0] in (1, len(p)) for p in patterns)
+    """How many of the patterns start with their least or greatest value."""
+    return sum(p[:1] in ((1,), (len(p),)) for p in patterns)
 
 
 def _dp_profile(n: int, patterns: tuple[Perm, ...],
@@ -368,18 +391,14 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
 
     Polynomials are packed into integers, one slot per exponent, so moving
     a prefix's polynomials to a child is a shift.  No coefficient exceeds
-    n!, which fixes the slot width.  A set whose patterns start with their
-    minimum or maximum less often than those of the reverse-complement set
-    is run in that orientation: reverse-complement keeps inv and des and
-    maps maj to n*des - maj.
+    n!, which fixes the slot width.  The run is over exactly the given
+    set; _uncached chooses which member of a symmetry orbit it runs on.
     """
     if () in patterns or n and (1,) in patterns:
         return Profile(QPoly.zero(), QTPoly.zero())
     if n == 0:
         return Profile(QPoly.one(), QTPoly.one())
-    flipped = tuple(complement(reverse(p)) for p in patterns)
-    rc = _anchored(flipped) > _anchored(patterns)
-    root, children = _transitions(n, flipped if rc else patterns)
+    root, children = _transitions(n, patterns)
 
     bits = math.factorial(n).bit_length()
     slot_bytes = next((b for b in _WORD_CODES if 8 * b >= bits), (bits + 63) // 64 * 8)
@@ -411,7 +430,7 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
     counts = {}
     for index in compress(range(len(md_coeffs)), md_coeffs):
         des, maj = divmod(index, maj_span)
-        counts[(n * des - maj if rc else maj, des)] = md_coeffs[index]
+        counts[(maj, des)] = md_coeffs[index]
     return Profile(QPoly(inv_coeffs), QTPoly.from_counts(counts))
 
 
@@ -433,16 +452,39 @@ _profile_cache: dict[tuple[int, tuple[Perm, ...]], Profile] = {}
 
 def _profile(n: int, patterns: tuple[Perm, ...],
              should_stop: Optional[Callable[[], bool]] = None) -> Profile:
-    """Least-recently-used cache over _dp_profile; a cancelled call stores nothing."""
+    """Least-recently-used cache of profiles, by exact key; see _uncached
+    for a miss.  A cancelled call stores nothing."""
     key = (n, patterns)
     prof = _profile_cache.pop(key, None)
     if prof is None:
-        prof = _dp_profile(n, patterns, should_stop)
+        prof = _uncached(n, patterns, should_stop)
         if len(_profile_cache) >= _PROFILE_CACHE_SIZE:
             del _profile_cache[next(iter(_profile_cache))]
     # (re)inserted last, so the dict's order is the order of use
     _profile_cache[key] = prof
     return prof
+
+
+def _uncached(n: int, patterns: tuple[Perm, ...],
+              should_stop: Optional[Callable[[], bool]]) -> Profile:
+    """The profile of a key that is not in the cache, from a cached mate if
+    there is one: reverse-complement, reversal and complement each carry
+    Av_n(patterns) onto the avoiders of the image set, and move the
+    statistics by perms.STAT_MOVES (each is its own inverse).  Otherwise
+    _dp_profile runs on the set or its reverse-complement, whichever has
+    more patterns that start with their least or greatest value (the set at
+    a tie), so its mates are served from one run.
+    """
+    images = {tag: tuple(sorted(apply_symmetry(tag, p) for p in patterns))
+              for tag in STAT_MOVES}
+    for tag, image in images.items():
+        mate = _profile_cache.get((n, image)) if image != patterns else None
+        if mate is not None:
+            return mate.moved(n, tag)
+    flipped = images["R180"]
+    if _anchored(flipped) > _anchored(patterns):
+        return _dp_profile(n, flipped, should_stop).moved(n, "R180")
+    return _dp_profile(n, patterns, should_stop)
 
 
 def profile(n: int, patterns: Iterable[Sequence[int]],

@@ -70,6 +70,26 @@ def test_commands_echo_the_parsed_patterns(capsys):
         assert (code, json.loads(out)["patterns"]) == (0, ["132", "213"]), command
 
 
+@pytest.mark.parametrize("items", ["132,", "132,,213", " , "])
+@pytest.mark.parametrize("command", [
+    ["count"], ["poly", "--stat", "inv"], ["enumerate"], ["mahonian", "--right", "132"],
+], ids=["count", "poly", "enumerate", "mahonian"])
+def test_an_empty_item_in_a_pattern_list_is_refused(command, items, capsys):
+    flag = "--left" if command[0] == "mahonian" else "--avoid"
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--n", "4", flag, items, "--format", "json"])
+    assert info.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"patstat: empty item in pattern list {items.strip()!r} (the empty pattern is ε)\n")
+
+
+def test_the_empty_pattern_and_the_empty_list_stay_valid(capsys):
+    for avoid, patterns, count in (("ε", ["ε"], 0), ("", [], 24), ("132,ε", ["132", "ε"], 0)):
+        code, out, _ = run_cli(["count", "--n", "4", "--avoid", avoid, "--format", "json"],
+                               capsys)
+        assert (code, json.loads(out)) == (0, {"n": 4, "patterns": patterns, "count": count})
+
+
 def test_count(capsys):
     code, out, _ = run_cli(["count", "--n", "10", "--avoid", "132"], capsys)
     assert code == 0 and out.strip() == "16796"

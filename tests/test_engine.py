@@ -148,7 +148,6 @@ def test_nearest_entries_decide_whether_a_copy_extends():
 
 def test_cancelled_profile_keeps_only_complete_moves():
     pats = ((1, 3, 2, 4), (2, 4, 1, 3))
-    flipped = tuple(perms.complement(perms.reverse(p)) for p in pats)
     for k in (1, 10, 100):
         engine._copy_tables.cache_clear()
         polls = 0
@@ -161,7 +160,7 @@ def test_cancelled_profile_keeps_only_complete_moves():
         with pytest.raises(SearchCancelled):
             engine._dp_profile(7, pats, stop)
         assert polls == k
-        for p in pats + flipped:
+        for p in pats:
             tables = engine._copy_tables(p)
             for (held, r, m), step in tables.moves.items():
                 assert engine._step_copies(tables, held, r, m) == step
@@ -226,9 +225,10 @@ def test_profile_statistics_match_independent_implementations():
             _brute_profile(n, pats)
     _drawn_sets_match_brute_force()
     # beyond the brute filter's reach, enumeration shares the DP's rules, so
-    # this checks the DP's bookkeeping: slot packing, the descent shift and
-    # the reverse-complement maj map; the empty set stops at n = 7, since S_9
-    # through perms alone would take most of the time
+    # this checks the DP's bookkeeping: slot packing, the descent shift and,
+    # for a set run in its reverse-complement orientation or served from a
+    # cached mate, the moves of perms.STAT_MOVES; the empty set stops at
+    # n = 7, since S_9 through perms alone would take most of the time
     # (S4 singletons are checked against brute force to n = 7 in
     # test_copy_tables_do_not_depend_on_query_order)
     pattern_sets = [s for r in range(7) for s in itertools.combinations(S3, r)]
@@ -422,6 +422,94 @@ def test_stop_while_dead_prefixes_are_settled():
     assert list(engine.enumerate_avoiders(20, _AV_123_132_231)) == _av_123_132_231(20)
 
 
+_MATE_TAGS = ("rinf", "r0", "R180")
+
+
+def _image(tag, pats):
+    return engine.canonical_patterns(perms.apply_symmetry(tag, p) for p in pats)
+
+
+def _forget_orbit(n, pats):
+    for tag in ("R0",) + _MATE_TAGS:
+        engine._profile_cache.pop((n, _image(tag, pats)), None)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_scan(n):
+    """(patterns of lengths 3 and 4 in q, inv, (maj, des)) for each q in S_n."""
+    return [(patterns_of(q, 3) | patterns_of(q, 4), inv_brute(q), (maj_brute(q), des_brute(q)))
+            for q in itertools.permutations(range(1, n + 1))]
+
+
+def _brute_polys(n, pats):
+    invs, majdes = Counter(), Counter()
+    for found, inv, md in _brute_scan(n):
+        if found.isdisjoint(pats):
+            invs[inv] += 1
+            majdes[md] += 1
+    return QPoly([invs[i] for i in range(math.comb(n, 2) + 1)]), QTPoly.from_counts(majdes)
+
+
+def test_orbit_mates_are_served_by_the_statistic_moves():
+    # each image of a cached set under reversal, complement and
+    # reverse-complement is served from it by that symmetry's own entry of
+    # perms.STAT_MOVES: against brute force to n = 7 and against a run of
+    # the DP on the image itself to n = 9
+    sets = [s for r in range(7) for s in itertools.combinations(S3, r)]
+    sets += [(p,) for p in S4] + list(itertools.combinations(S4, 2))[::23]
+    for pats in sets:
+        for n in range(10):
+            _forget_orbit(n, pats)
+            engine.profile(n, pats)
+            images = {_image(tag, pats) for tag in _MATE_TAGS} - {pats}
+            for image in images:
+                # pats is the only cached member of its orbit
+                for other in images:
+                    engine._profile_cache.pop((n, other), None)
+                served = engine.profile(n, image)
+                assert served == engine._dp_profile(n, image, None), (pats, image, n)
+                if n <= 7:
+                    assert (served.inv_poly, served.majdes_poly) == _brute_polys(n, image), (
+                        pats, image, n)
+
+
+def _count_dp_runs(monkeypatch):
+    """A Counter of _dp_profile runs by length, from now on."""
+    runs = Counter()
+    run = engine._dp_profile
+
+    def counted(n, patterns, should_stop):
+        runs[n] += 1
+        return run(n, patterns, should_stop)
+
+    monkeypatch.setattr(engine, "_dp_profile", counted)
+    return runs
+
+
+def test_classify_runs_one_dp_per_orbit(monkeypatch):
+    # the 24 S4 singletons fall in 8 orbits under reversal and complement,
+    # the 276 pairs in 84
+    runs = _count_dp_runs(monkeypatch)
+    engine._profile_cache.clear()
+    engine.classify(4, 1, "inv", 7)
+    assert runs == {n: 8 for n in range(8)}
+    runs.clear()
+    engine._profile_cache.clear()
+    engine.classify(4, 2, "inv", 6)
+    assert runs == {n: 84 for n in range(7)}
+
+
+def test_a_mate_is_served_without_a_run(monkeypatch):
+    pats = ((1, 3, 4, 2), (2, 1, 3))
+    _forget_orbit(9, pats)
+    runs = _count_dp_runs(monkeypatch)
+    engine.profile(9, pats)
+    assert runs == {9: 1}
+    for tag in _MATE_TAGS:
+        engine.profile(9, _image(tag, pats))
+    assert runs == {9: 1}
+
+
 def test_enumeration_depth_is_not_bounded_by_recursion():
     # a walk that recursed once per value would pass the default limit of 1000
     assert list(engine.enumerate_avoiders(1500, [(1, 2)])) == [tuple(range(1500, 0, -1))]
@@ -435,7 +523,8 @@ def test_profile_cancellation_caches_nothing():
         calls[0] += 1
         return calls[0] > 3
 
-    engine._profile_cache.pop((9, pats), None)
+    # a cached mate would serve the query without a run to cancel
+    _forget_orbit(9, pats)
     for query in (
         lambda: engine.count_avoiders(9, pats, should_stop=stop_later),
         lambda: engine.stat_poly(9, pats, "maj", should_stop=stop_later),
@@ -447,7 +536,8 @@ def test_profile_cancellation_caches_nothing():
         with pytest.raises(SearchCancelled):
             query()
         assert calls[0] == 4
-        assert (9, pats) not in engine._profile_cache
+        for tag in ("R0",) + _MATE_TAGS:
+            assert (9, _image(tag, pats)) not in engine._profile_cache
     # a run that is never stopped polls without effect and is cached
     assert engine.count_avoiders(9, pats, should_stop=lambda: False) == 94776
     assert (9, pats) in engine._profile_cache

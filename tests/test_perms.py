@@ -148,6 +148,19 @@ def test_symmetry_tables_match_point_maps():
                 assert perms.apply_symmetry(tag, p) == _by_point_map(tag, p), (tag, p)
 
 
+def test_statistic_moves_match_the_statistics_of_the_images():
+    # the engine serves a profile from a cached reverse/complement mate by
+    # this table, so it must hold on every permutation, n = 0 included
+    assert set(perms.STAT_MOVES) == {"R180", "rinf", "r0"}
+    for n in range(8):
+        for p in perms.all_perms(n):
+            stats = (perms.inv(p), perms.maj(p), perms.des(p))
+            for tag, rule in perms.STAT_MOVES.items():
+                image = _by_point_map(tag, p)
+                want = (perms.inv(image), perms.maj(image), perms.des(image))
+                assert rule(n, *stats) == want, (tag, p)
+
+
 def test_sample_tells_the_symmetries_apart():
     # compose_symmetries names a composite by its image of the sample
     images = {perms.apply_symmetry(f, perms._SAMPLE) for f in perms.SYMMETRIES}
