@@ -49,11 +49,22 @@ def _deadline_checker(limit: Optional[float]) -> Optional[Callable[[], bool]]:
     return lambda: time.monotonic() > deadline
 
 
+def _seconds(text: str) -> float:
+    """A --limit-seconds value >= 0; NaN, which no deadline passes, is refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--progress", action="store_true",
                      help="report progress on stderr")
-    sub.add_argument("--limit-seconds", type=float, default=None,
+    sub.add_argument("--limit-seconds", type=_seconds, default=None,
                      help="abort cleanly after this many seconds")
 
 

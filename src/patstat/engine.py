@@ -34,7 +34,7 @@ from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import (STAT_MOVES, Perm, _match_plan, all_perms, apply_symmetry,
+from .perms import (INV_REVERSING, STAT_MOVES, Perm, _match_plan, all_perms, apply_symmetry,
                     format_pattern_set, perm)
 from .polynomials import QPoly, QTPoly
 
@@ -353,25 +353,13 @@ class Profile:
         return self.inv_poly.eval_at_q1()
 
     def moved(self, n: int, tag: str) -> "Profile":
-        """The profile of Av_n(g(P)), if this is that of Av_n(P), for the
-        symmetry g named by tag, one of perms.STAT_MOVES."""
-        return Profile(moved_inv(self.inv_poly, n, tag), moved_majdes(self.majdes_poly, n, tag))
-
-
-def moved_inv(poly: QPoly, n: int, tag: str) -> QPoly:
-    """The inv polynomial of Av_n(g(P)) from that of Av_n(P), for the symmetry
-    g named by tag, one of perms.STAT_MOVES."""
-    rule = STAT_MOVES[tag]
-    out = [0] * (math.comb(n, 2) + 1)
-    for i, c in enumerate(poly.coeffs):
-        out[rule(n, i, 0, 0)[0]] = c
-    return QPoly(out)
-
-
-def moved_majdes(poly: QTPoly, n: int, tag: str) -> QTPoly:
-    """The maj/des polynomial of Av_n(g(P)) from that of Av_n(P), as moved_inv."""
-    rule = STAT_MOVES[tag]
-    return QTPoly.from_counts({rule(n, 0, maj, des)[1:]: c for maj, des, c in poly.terms})
+        """The profile of Av_n(g(P)), if this is that of Av_n(P), for the symmetry
+        g named by tag, one of perms.STAT_MOVES: inv moves by
+        perms.INV_REVERSING and QPoly.reverse, maj and des by the table."""
+        rule = STAT_MOVES[tag]
+        inv_poly = self.inv_poly.reverse(n) if tag in INV_REVERSING else self.inv_poly
+        return Profile(inv_poly, QTPoly.from_counts(
+            {rule(n, maj, des): c for maj, des, c in self.majdes_poly.terms}))
 
 
 def _anchored(patterns: Iterable[Perm]) -> int:
@@ -469,8 +457,8 @@ def _uncached(n: int, patterns: tuple[Perm, ...],
               should_stop: Optional[Callable[[], bool]]) -> Profile:
     """The profile of a key that is not in the cache, from a cached mate if
     there is one: reverse-complement, reversal and complement each carry
-    Av_n(patterns) onto the avoiders of the image set, and move the
-    statistics by perms.STAT_MOVES (each is its own inverse).  Otherwise
+    Av_n(patterns) onto the avoiders of the image set, so Profile.moved
+    serves the key from the mate (each is its own inverse).  Otherwise
     _dp_profile runs on the set or its reverse-complement, whichever has
     more patterns that start with their least or greatest value (the set at
     a tie), so its mates are served from one run.
@@ -585,14 +573,14 @@ def classify(
             raise ValueError(f"{name} must be nonnegative")
     if n_max < ground_length:
         raise ValueError("n_max must be at least the pattern length")
-    ground = sorted(all_perms(ground_length))
-    total = math.comb(len(ground), subset_size)
+    # refuse before S_k is built; combinations would build it even for size 0
+    total = math.comb(math.factorial(ground_length), subset_size)
     if total > max_subsets:
         raise ValueError(
             f"{total} subsets exceed the guard of {max_subsets}; raise max_subsets to force"
         )
     groups: dict[object, list[tuple[Perm, ...]]] = {}
-    for subset in combinations(ground, subset_size):
+    for subset in combinations(all_perms(ground_length), subset_size) if subset_size else [()]:
         if should_stop is not None and should_stop():
             raise SearchCancelled("classification stopped")
         sig = _signature(n_max, subset, stat, should_stop)

@@ -40,31 +40,14 @@ SYMMETRIES: tuple[str, ...] = tuple(_STEPS)
 INV_PRESERVING: tuple[str, ...] = tuple(f for f, (_, r, c) in _STEPS.items() if r == c)
 INV_REVERSING: tuple[str, ...] = tuple(f for f, (_, r, c) in _STEPS.items() if r != c)
 
-
-def _reversal_moves(n: int, inv: int, maj: int, des: int) -> tuple[int, int, int]:
-    top, slots = math.comb(n, 2), max(n - 1, 0)
-    # the ascents of p at positions j are the descents of its reverse at n - j
-    return top - inv, n * (slots - des) - top + maj, slots - des
-
-
-def _complement_moves(n: int, inv: int, maj: int, des: int) -> tuple[int, int, int]:
-    top = math.comb(n, 2)
-    return top - inv, top - maj, max(n - 1, 0) - des
-
-
-#: How reverse-complement ("R180"), reversal ("rinf") and complement ("r0")
-#: move the statistics of a permutation of length n: (inv, maj, des) of the
-#: image from n and (inv, maj, des) of p.  With N = C(n, 2):
-#:   R180: inv and des kept, maj -> n*des - maj;
-#:   rinf: inv -> N - inv, des -> n-1-des, maj -> n*(n-1-des) - N + maj;
-#:   r0:   inv -> N - inv, des -> n-1-des, maj -> N - maj.
-#: The empty permutation is fixed by all three, so n = 0 keeps des at 0.
-#: The image's inv depends on inv alone and its maj and des on maj and des
-#: alone.  The inverse keeps inv but not maj or des, so it has no entry.
-STAT_MOVES: dict[str, Callable[[int, int, int, int], tuple[int, int, int]]] = {
-    "R180": lambda n, inv, maj, des: (inv, n * des - maj, des),
-    "rinf": _reversal_moves,
-    "r0": _complement_moves,
+#: How reverse-complement ("R180"), reversal ("rinf") and complement ("r0") move
+#: (maj, des) at length n: R180 keeps des and sends maj to n*des - maj; r0 sends maj
+#: to C(n,2) - maj and des to n-1-des (0 at n = 0); rinf is r0 after R180.  inv moves
+#: by INV_REVERSING and QPoly.reverse(n); the inverse keeps inv but not maj or des.
+STAT_MOVES: dict[str, Callable[[int, int, int], tuple[int, int]]] = {
+    "R180": lambda n, maj, des: (n * des - maj, des),
+    "rinf": lambda n, maj, des: STAT_MOVES["r0"](n, *STAT_MOVES["R180"](n, maj, des)),
+    "r0": lambda n, maj, des: (math.comb(n, 2) - maj, max(n - 1, 0) - des),
 }
 
 _TAG_ALIASES = {"r∞": "rinf", "rINF": "rinf"}
@@ -121,15 +104,23 @@ def format_perm(p: Perm) -> str:
 
 def parse_pattern_set(text: str) -> tuple[Perm, ...]:
     """Parse a comma-separated pattern list such as "132,213"; "" is the empty
-    list.  An empty item is refused: every permutation contains the empty
-    pattern, which is written "ε", so a stray comma would leave no avoiders."""
+    list, and a text that is no such list but one permutation in comma form
+    ("10,1,2,...,9") is that pattern.  An empty item is refused: every
+    permutation contains the empty pattern, which is written "ε", so a stray
+    comma would leave no avoiders."""
     text = text.strip()
     if not text:
         return ()
     parts = text.split(",")
     if not all(part.strip() for part in parts):
         raise ValueError(f"empty item in pattern list {text!r} (the empty pattern is ε)")
-    return tuple(parse_perm(part) for part in parts)
+    try:
+        return tuple(parse_perm(part) for part in parts)
+    except ValueError as err:
+        try:
+            return (parse_perm(text),)
+        except ValueError:
+            raise err from None
 
 
 def format_pattern_set(patterns: Iterable[Perm]) -> str:

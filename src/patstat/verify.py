@@ -220,51 +220,33 @@ def _patterns_s3_s4() -> list[perms.Perm]:
     return [p for k in (3, 4) for p in perms.all_perms(k)]
 
 
-#: The entry of perms.STAT_MOVES that takes the reversal and complement
-#: steps of each symmetry, None for those that take neither; a symmetry's
-#: inverse step keeps inv, so this entry moves the inv polynomial.
-_RC_PART = {f: next((t for t in perms.STAT_MOVES if perms._STEPS[t][1:] == steps[1:]), None)
-            for f, steps in perms._STEPS.items()}
-
-
 def _least_of_orbit(pat: perms.Perm) -> bool:
     return all(pat <= perms.apply_symmetry(t, pat) for t in perms.STAT_MOVES)
 
 
 def _reversal_run(n: int, pat: perms.Perm, should_stop: Stop) -> Outcome:
-    """A _dp_profile run on the reverse of pat against the profile the cache
-    serves for it.  The orbit's entries are dropped first, so that profile is
-    moved by the table from a run on pat or its reverse-complement: the two
-    runs walk different states, and their agreement does not hold by
-    construction."""
-    for t in ("R0", *perms.STAT_MOVES):
-        engine._profile_cache.pop((n, (perms.apply_symmetry(t, pat),)), None)
-    engine.profile(n, (pat,), should_stop)
-    mate = (perms.reverse(pat),)
-    return (engine._dp_profile(n, mate, should_stop) == engine.profile(n, mate, should_stop)
-            or f"profile of {perms.format_perm(mate[0])} moved from its reverse != "
+    """A _dp_profile run on the reverse of pat against a run on pat moved by
+    Profile.moved.  Neither is read from the cache, and the two runs walk
+    different states, so their agreement does not hold by construction."""
+    mate = perms.reverse(pat)
+    return (engine._dp_profile(n, (mate,), should_stop)
+            == engine._dp_profile(n, (pat,), should_stop).moved(n, "rinf")
+            or f"profile of {perms.format_perm(mate)} moved from its reverse != "
             f"its own run at n={n}")
 
 
 def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
     for pat in _patterns_s3_s4():
         least = _least_of_orbit(pat)
-        wants: dict[tuple[int, Optional[str]], QPoly] = {}
         for f, image in zip(perms.SYMMETRIES, _images(pat)):
-            tag = _RC_PART[f]
             for n in range(nmax + 1):
                 # once per orbit and length; below the pattern's length
                 # every permutation avoids it, and each run counts all of S_n
                 due = least and f == "R0" and n >= len(pat)
                 run = _reversal_run(n, pat, should_stop) if due else True
                 left = engine.stat_poly(n, (image,), "inv", should_stop)
-                want = wants.get((n, tag))
-                if want is None:
-                    want = engine.stat_poly(n, (pat,), "inv", should_stop)
-                    if tag is not None:
-                        want = engine.moved_inv(want, n, tag)
-                    wants[n, tag] = want
-                yield (left == want
+                want = engine.stat_poly(n, (pat,), "inv", should_stop)
+                yield (left == (want.reverse(n) if f in perms.INV_REVERSING else want)
                        or f"inv transport fails: {f}({perms.format_perm(pat)}) at n={n}", run)
 
 
@@ -275,7 +257,7 @@ def _maj_poly_complement(nmax: int, should_stop: Stop) -> Outcomes:
         for n in range(nmax + 1):
             run = _reversal_run(n, pat, should_stop) if least and n >= len(pat) else True
             left = engine.stat_poly(n, (image,), "maj", should_stop)
-            want = engine.moved_majdes(engine.maj_des_poly(n, (pat,), should_stop), n, "r0")
+            want = engine.profile(n, (pat,), should_stop).moved(n, "r0").majdes_poly
             yield (left == want.specialize_t1()
                    or f"maj complement transport fails at {perms.format_perm(pat)}, n={n}", run)
 

@@ -334,6 +334,40 @@ def test_limit_seconds_aborts_profiles(argv, capsys):
     assert err == "patstat: time limit exceeded, partial results suppressed\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "5", "--avoid", "132"],
+    ["verify", "--suite", "paper", "--nmax", "1"],
+    ["foata", "--word", "0110"],
+], ids=["count", "verify", "foata"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_limit_seconds_refuses_values_below_zero(argv, value, capsys):
+    # no deadline is ever passed at NaN, and a negative one has passed
+    # before the command starts; "-inf" only parses as a value after "="
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [f"--limit-seconds={value}"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --limit-seconds: must be a number >= 0, got '{value}'\n")
+
+
+def test_limit_seconds_of_inf_is_no_limit(capsys):
+    argv = ["count", "--n", "5", "--avoid", "132", "--limit-seconds"]
+    assert run_cli(argv + ["inf"], capsys) == (0, "42\n", "")
+    assert run_cli(argv + ["1e9"], capsys) == (0, "42\n", "")
+
+
+def test_a_pattern_longer_than_nine_can_be_avoided(capsys):
+    long = "10,1,2,3,4,5,6,7,8,9"
+    assert run_cli(["count", "--n", "10", "--avoid", long], capsys) == (0, "3628799\n", "")
+    code, out, _ = run_cli(
+        ["poly", "--stat", "inv", "--n", "10", "--avoid", long, "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["patterns"] == [long]
+    assert sum(payload["poly"]) == 3628799
+
+
 def test_count_overflow_exit_code(capsys):
     code, out, err = run_cli(["count", "--n", "36", "--avoid", "321"], capsys)
     assert code == 1

@@ -499,6 +499,18 @@ def test_classify_runs_one_dp_per_orbit(monkeypatch):
     assert runs == {n: 84 for n in range(7)}
 
 
+def test_classify_refuses_before_it_builds_the_ground_set(monkeypatch):
+    # the guard reads the size of S_k, and size 0 needs only the empty subset
+    def unbuilt(k):
+        raise AssertionError(f"S_{k} built")
+
+    monkeypatch.setattr(engine, "all_perms", unbuilt)
+    with pytest.raises(ValueError, match=r"^479001600 subsets exceed the guard of 20000; "):
+        engine.classify(12, 1, "inv", 12)
+    rep = engine.classify(12, 0, "inv", 12)
+    assert rep.classes == (((),),)
+
+
 def test_a_mate_is_served_without_a_run(monkeypatch):
     pats = ((1, 3, 4, 2), (2, 1, 3))
     _forget_orbit(9, pats)

@@ -1,4 +1,5 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and no module but
+the engine names the engine's profile cache.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -36,3 +37,30 @@ def test_no_unused_imports():
 def test_scan_finds_an_unused_import():
     tree = ast.parse("import math\nimport os.path\nfrom a import b as c\nos.sep\n")
     assert unused_imports(tree) == ["line 1: math", "line 3: c"]
+
+
+def identifiers(tree: ast.Module) -> set[str]:
+    """The names, attribute names and imported names the module spells out."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_only_the_engine_names_its_profile_cache():
+    # the rest of the package reads profiles through engine.profile, so only
+    # the engine decides what the cache holds
+    found = [path.name for path in SOURCES if path.parent.name == "patstat"
+             and path.name != "engine.py"
+             and "_profile_cache" in identifiers(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_identifiers_include_attributes_and_imports():
+    tree = ast.parse("from a import b as c\nx.y = z\n")
+    assert identifiers(tree) == {"b", "x", "y", "z"}

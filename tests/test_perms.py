@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import contains_brute
@@ -150,15 +152,18 @@ def test_symmetry_tables_match_point_maps():
 
 def test_statistic_moves_match_the_statistics_of_the_images():
     # the engine serves a profile from a cached reverse/complement mate by
-    # this table, so it must hold on every permutation, n = 0 included
+    # this table and INV_REVERSING, so both must hold on every permutation,
+    # n = 0 included
     assert set(perms.STAT_MOVES) == {"R180", "rinf", "r0"}
     for n in range(8):
         for p in perms.all_perms(n):
-            stats = (perms.inv(p), perms.maj(p), perms.des(p))
             for tag, rule in perms.STAT_MOVES.items():
                 image = _by_point_map(tag, p)
-                want = (perms.inv(image), perms.maj(image), perms.des(image))
-                assert rule(n, *stats) == want, (tag, p)
+                assert rule(n, perms.maj(p), perms.des(p)) == (
+                    perms.maj(image), perms.des(image)), (tag, p)
+                inv = perms.inv(p)
+                want = math.comb(n, 2) - inv if tag in perms.INV_REVERSING else inv
+                assert perms.inv(image) == want, (tag, p)
 
 
 def test_sample_tells_the_symmetries_apart():
@@ -221,3 +226,16 @@ def test_maxima_minima_helpers():
     assert perms.left_right_maxima((2, 1, 3)) == (1, 3)
     assert perms.right_left_minima((2, 3, 1)) == (3,)
     assert perms.right_left_minima((1, 2, 3)) == (1, 2, 3)
+
+
+def test_a_pattern_list_may_be_one_long_permutation():
+    # format_perm writes a permutation longer than 9 with commas, so a list
+    # that does not split into patterns is read as one permutation
+    long = (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert perms.parse_pattern_set(perms.format_perm(long)) == (long,)
+    assert perms.parse_pattern_set("12,21") == ((1, 2), (2, 1))
+    # a text that is neither keeps the message of the list
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 0\)$"):
+        perms.parse_pattern_set("132,10,1")
+    with pytest.raises(ValueError, match=r"^cannot parse permutation '1x2'$"):
+        perms.parse_pattern_set("1x2")

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from patstat import engine, verify, words
+from patstat import engine, perms, verify, words
 
 
 @pytest.mark.parametrize(
@@ -66,6 +66,20 @@ def test_a_long_case_stops_inside_the_engine(monkeypatch):
     with pytest.raises(engine.SearchCancelled):
         check(9, should_stop=lambda: seen > 0)
     assert 0 < seen < math.factorial(9)
+
+
+@pytest.mark.parametrize("name", ["inv-polynomial-transport", "maj-polynomial-complement"])
+def test_transport_checks_leave_the_profile_cache_alone(name):
+    # their comparison runs bypass the cache, so every profile cached
+    # before them stays, as the same object
+    for n in range(7):
+        for k in (3, 4):
+            for p in perms.all_perms(k):
+                engine.profile(n, (p,))
+    before = dict(engine._profile_cache)
+    r = dict(verify.PAPER_CHECKS)[name](6)
+    assert r.passed, r.line()
+    assert [key for key, prof in before.items() if engine._profile_cache.get(key) is not prof] == []
 
 
 @pytest.mark.parametrize("name, fn, length, total", [
