@@ -34,8 +34,8 @@ from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import (INV_REVERSING, STAT_MOVES, Perm, _match_plan, all_perms, apply_symmetry,
-                    format_pattern_set, perm)
+from .perms import (INV_REVERSING, STAT_MOVES, Perm, _match_plan, all_perms, format_pattern_set,
+                    image, perm)
 from .polynomials import QPoly, QTPoly
 
 
@@ -463,10 +463,9 @@ def _uncached(n: int, patterns: tuple[Perm, ...],
     more patterns that start with their least or greatest value (the set at
     a tie), so its mates are served from one run.
     """
-    images = {tag: tuple(sorted(apply_symmetry(tag, p) for p in patterns))
-              for tag in STAT_MOVES}
-    for tag, image in images.items():
-        mate = _profile_cache.get((n, image)) if image != patterns else None
+    images = {tag: image(tag, patterns) for tag in STAT_MOVES}
+    for tag, mate_key in images.items():
+        mate = _profile_cache.get((n, mate_key)) if mate_key != patterns else None
         if mate is not None:
             return mate.moved(n, tag)
     flipped = images["R180"]

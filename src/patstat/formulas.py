@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .engine import SearchCancelled
-from .perms import Perm
+from .perms import INV_PRESERVING, Perm, orbit
 from .polynomials import QPoly, QTPoly, TruncatedSeries, q_int
 
 
@@ -258,28 +258,13 @@ def _psets(*sets: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], ...]:
     return tuple(tuple(sorted(s)) for s in sets)
 
 
+# The inv-preserving symmetries keep the inv polynomial, so an inv entry
+# matches the whole orbit under them of the set its id names.
 CLOSED_FORMS: dict[str, FormulaEntry] = {
-    "inv-231-321": FormulaEntry(
-        _inv_231_321, "q",
-        _psets(((2, 3, 1), (3, 2, 1)), ((3, 1, 2), (3, 2, 1))),
-    ),
-    "inv-132-231": FormulaEntry(
-        _inv_132_231, "q",
-        _psets(
-            ((1, 3, 2), (2, 3, 1)),
-            ((1, 3, 2), (3, 1, 2)),
-            ((2, 1, 3), (2, 3, 1)),
-            ((2, 1, 3), (3, 1, 2)),
-        ),
-    ),
-    "inv-132-321": FormulaEntry(
-        _inv_132_321, "q",
-        _psets(((1, 3, 2), (3, 2, 1)), ((2, 1, 3), (3, 2, 1))),
-    ),
-    "inv-132-213": FormulaEntry(
-        _inv_132_213, "q",
-        _psets(((1, 3, 2), (2, 1, 3))),
-    ),
+    "inv-231-321": FormulaEntry(_inv_231_321, "q", orbit(((2, 3, 1), (3, 2, 1)), INV_PRESERVING)),
+    "inv-132-231": FormulaEntry(_inv_132_231, "q", orbit(((1, 3, 2), (2, 3, 1)), INV_PRESERVING)),
+    "inv-132-321": FormulaEntry(_inv_132_321, "q", orbit(((1, 3, 2), (3, 2, 1)), INV_PRESERVING)),
+    "inv-132-213": FormulaEntry(_inv_132_213, "q", orbit(((1, 3, 2), (2, 1, 3)), INV_PRESERVING)),
     "maj-132-213": FormulaEntry(
         _maj_132_213, "qt",
         _psets(
@@ -301,26 +286,13 @@ CLOSED_FORMS: dict[str, FormulaEntry] = {
         _psets(((2, 1, 3), (3, 2, 1))),
     ),
     "inv-132-213-321": FormulaEntry(
-        _inv_132_213_321, "q",
-        _psets(((1, 3, 2), (2, 1, 3), (3, 2, 1))),
-    ),
+        _inv_132_213_321, "q", orbit(((1, 3, 2), (2, 1, 3), (3, 2, 1)), INV_PRESERVING)),
     "inv-132-231-312": FormulaEntry(
-        _inv_132_231_312, "q",
-        _psets(((1, 3, 2), (2, 3, 1), (3, 1, 2)), ((2, 1, 3), (2, 3, 1), (3, 1, 2))),
-    ),
+        _inv_132_231_312, "q", orbit(((1, 3, 2), (2, 3, 1), (3, 1, 2)), INV_PRESERVING)),
     "inv-132-231-321": FormulaEntry(
-        _inv_132_231_321, "q",
-        _psets(
-            ((1, 3, 2), (2, 3, 1), (3, 2, 1)),
-            ((1, 3, 2), (3, 1, 2), (3, 2, 1)),
-            ((2, 1, 3), (2, 3, 1), (3, 2, 1)),
-            ((2, 1, 3), (3, 1, 2), (3, 2, 1)),
-        ),
-    ),
+        _inv_132_231_321, "q", orbit(((1, 3, 2), (2, 3, 1), (3, 2, 1)), INV_PRESERVING)),
     "inv-231-312-321": FormulaEntry(
-        _inv_231_312_321, "q",
-        _psets(((2, 3, 1), (3, 1, 2), (3, 2, 1))),
-    ),
+        _inv_231_312_321, "q", orbit(((2, 3, 1), (3, 1, 2), (3, 2, 1)), INV_PRESERVING)),
     "maj-triple-A": FormulaEntry(
         _maj_triple_a, "qt",
         _psets(

@@ -295,6 +295,22 @@ def apply_symmetry(tag: str, p: Perm) -> Perm:
     return complement(p) if comp_step else p
 
 
+def image(tag: str, patterns: Iterable[Perm]) -> tuple[Perm, ...]:
+    """The sorted image of a pattern set under one symmetry."""
+    return tuple(sorted(apply_symmetry(tag, p) for p in patterns))
+
+
+def orbit(patterns: Iterable[Perm], tags: Iterable[str]) -> tuple[tuple[Perm, ...], ...]:
+    """The sorted set and its image under each tag, each once, sorted: the
+    whole orbit when tags with R0 form a group, as INV_PRESERVING does.
+
+    >>> orbit(((1, 3, 2),), INV_PRESERVING)
+    (((1, 3, 2),), ((2, 1, 3),))
+    """
+    patterns = tuple(patterns)
+    return tuple(sorted({image(tag, patterns) for tag in ("R0", *tags)}))
+
+
 @lru_cache(maxsize=None)
 def compose_symmetries(outer: str, inner: str) -> str:
     """The tag h with apply(h, p) == apply(outer, apply(inner, p)) for all p."""

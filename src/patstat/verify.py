@@ -221,18 +221,18 @@ def _patterns_s3_s4() -> list[perms.Perm]:
 
 
 def _least_of_orbit(pat: perms.Perm) -> bool:
-    return all(pat <= perms.apply_symmetry(t, pat) for t in perms.STAT_MOVES)
+    return perms.orbit((pat,), perms.STAT_MOVES)[0] == (pat,)
 
 
-def _reversal_run(n: int, pat: perms.Perm, should_stop: Stop) -> Outcome:
-    """A _dp_profile run on the reverse of pat against a run on pat moved by
-    Profile.moved.  Neither is read from the cache, and the two runs walk
-    different states, so their agreement does not hold by construction."""
-    mate = perms.reverse(pat)
-    return (engine._dp_profile(n, (mate,), should_stop)
-            == engine._dp_profile(n, (pat,), should_stop).moved(n, "rinf")
-            or f"profile of {perms.format_perm(mate)} moved from its reverse != "
-            f"its own run at n={n}")
+def _independent_run(n: int, pat: perms.Perm, tag: str, should_stop: Stop) -> Outcome:
+    """A _dp_profile run on the image of pat under tag, one of perms.STAT_MOVES,
+    against a run on pat moved by Profile.moved.  Neither is read from the cache
+    and the runs walk different states, so they do not agree by construction."""
+    mate = perms.image(tag, (pat,))
+    return (engine._dp_profile(n, mate, should_stop)
+            == engine._dp_profile(n, (pat,), should_stop).moved(n, tag)
+            or f"profile of {perms.format_pattern_set(mate)} moved from "
+            f"{perms.format_perm(pat)} != its own run at n={n}")
 
 
 def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
@@ -243,7 +243,7 @@ def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
                 # once per orbit and length; below the pattern's length
                 # every permutation avoids it, and each run counts all of S_n
                 due = least and f == "R0" and n >= len(pat)
-                run = _reversal_run(n, pat, should_stop) if due else True
+                run = _independent_run(n, pat, "rinf", should_stop) if due else True
                 left = engine.stat_poly(n, (image,), "inv", should_stop)
                 want = engine.stat_poly(n, (pat,), "inv", should_stop)
                 yield (left == (want.reverse(n) if f in perms.INV_REVERSING else want)
@@ -255,7 +255,7 @@ def _maj_poly_complement(nmax: int, should_stop: Stop) -> Outcomes:
         least = _least_of_orbit(pat)
         image = perms.complement(pat)
         for n in range(nmax + 1):
-            run = _reversal_run(n, pat, should_stop) if least and n >= len(pat) else True
+            run = _independent_run(n, pat, "r0", should_stop) if least and n >= len(pat) else True
             left = engine.stat_poly(n, (image,), "maj", should_stop)
             want = engine.profile(n, (pat,), should_stop).moved(n, "r0").majdes_poly
             yield (left == want.specialize_t1()
@@ -455,10 +455,10 @@ def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outco
 
 
 def _inv_symmetry_orbit(p: perms.Perm) -> tuple[perms.Perm, ...]:
-    return tuple(sorted({perms.apply_symmetry(f, p) for f in perms.INV_PRESERVING}))
+    return tuple(q for q, in perms.orbit((p,), perms.INV_PRESERVING))
 
 
-def _trivial_inv_wilf(n_max: int, pattern_length: int, should_stop: Stop, **_) -> Outcomes:
+def _trivial_inv_wilf(n_max: int, should_stop: Stop, pattern_length: int = 4) -> Outcomes:
     # singleton inversion classes should coincide with orbits under the
     # inv-preserving symmetries; classify needs a bound of at least the
     # pattern length
@@ -491,7 +491,7 @@ def _maj_polys_agree(n_max: int, left: perms.Perm, right: perms.Perm, should_sto
                f"{perms.format_perm(left)} vs {perms.format_perm(right)}{note}")
 
 
-def _inflation_maj(n_max: int, max_inflation_length: int, should_stop: Stop, **_) -> Outcomes:
+def _inflation_maj(n_max: int, should_stop: Stop, max_inflation_length: int = 6) -> Outcomes:
     for total in range(1, max_inflation_length + 1):
         for m in range(total):
             k = total - 1 - m
@@ -501,20 +501,22 @@ def _inflation_maj(n_max: int, max_inflation_length: int, should_stop: Stop, **_
                 should_stop, f" (m={m}, k={k})")
 
 
-def _sporadic_maj(n_max: int, should_stop: Stop, **_) -> Outcomes:
+def _sporadic_maj(n_max: int, should_stop: Stop) -> Outcomes:
     for base, *others in (((1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3)),
                           ((3, 1, 4, 2), (3, 2, 4, 1), (4, 1, 3, 2))):
         for other in others:
             yield from _maj_polys_agree(n_max, base, other, should_stop)
 
 
-def _i321_recursion(n_max: int, should_stop: Stop, **_) -> Outcomes:
+def _i321_recursion(n_max: int, should_stop: Stop) -> Outcomes:
     for n in range(n_max + 1):
         yield (formulas.i321_conjectured(n) == engine.stat_poly(n, ((3, 2, 1),), "inv", should_stop)
                or f"recursion disagrees with brute force at n={n}")
 
 
-def _maj_parity(parity_lengths: tuple[int, ...], should_stop: Stop, **_) -> Outcomes:
+def _maj_parity(n_max: int, should_stop: Stop,
+                parity_lengths: tuple[int, ...] = (1, 3, 7)) -> Outcomes:
+    # the parity is claimed at lengths n = 2^k - 1 only, so n_max is not read
     for n in parity_lengths:
         prof = formulas.parity_profile(engine.stat_poly(n, ((3, 2, 1),), "maj", should_stop))
         yield prof.holds or f"maj parity fails at n={n}: odd exponents {prof.odd_exponents}"
@@ -530,27 +532,18 @@ _CONJECTURES: dict[str, Callable[..., Outcomes]] = {
 CONJECTURE_NAMES = tuple(_CONJECTURES)
 
 
-def conjecture_suite(
-    name: str,
-    n_max: int = 8,
-    pattern_length: int = 4,
-    max_inflation_length: int = 6,
-    parity_lengths: tuple[int, ...] = (1, 3, 7),
-    should_stop: Stop = None,
-) -> CheckResult:
-    """Re-verify one conjecture empirically inside the given bounds.
-
+def conjecture_suite(name: str, n_max: int = 8, should_stop: Stop = None,
+                     **bounds) -> CheckResult:
+    """Re-verify one conjecture empirically inside n_max and its own keyword
+    bound, if it has one: pattern_length (trivial-inv-wilf), max_inflation_length
+    (inflation-maj) or parity_lengths (maj-parity); another raises TypeError.
     Failures are reported verbatim as data, never raised.
     """
     if name not in _CONJECTURES:
         raise ValueError(f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    outcomes = _CONJECTURES[name](
-        n_max=n_max, pattern_length=pattern_length,
-        max_inflation_length=max_inflation_length, parity_lengths=parity_lengths,
-        should_stop=should_stop)
-    return _run(name, outcomes, should_stop)
+    return _run(name, _CONJECTURES[name](n_max, should_stop, **bounds), should_stop)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if text in ("", "ε", "eps"):
         return ()
-    return word(int(ch) for ch in text)
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"cannot parse word {text!r}: its letters must be 0 or 1")
+    return tuple(map(int, text))
 
 
 def format_word(w: Word) -> str:
@@ -54,7 +56,10 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if text in ("", "-", "()"):
         return ()
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse partition {text!r}: each part must be an integer") from None
 
 
 class WordStats(NamedTuple):

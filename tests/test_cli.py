@@ -186,6 +186,28 @@ def test_bijection_refuses_a_non_member(name, member, message, capsys):
     assert capsys.readouterr() == ("", f"patstat: {message}\n")
 
 
+_BAD_WORD = "its letters must be 0 or 1"
+_BAD_PART = "each part must be an integer"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["foata", "--word", "0a1"], f"cannot parse word '0a1': {_BAD_WORD}"),
+    (["foata", "--word", "0 1", "--inverse"], f"cannot parse word '0 1': {_BAD_WORD}"),
+    (["decompose", "--word", "2"], f"cannot parse word '2': {_BAD_WORD}"),
+    (["bijection", "--name", "231-321", "--inverse", "--input", "1,0"],
+     f"cannot parse word '1,0': {_BAD_WORD}"),
+    (["bijection", "--name", "132-213-partition", "--inverse", "--input", "3,,1", "--n", "5"],
+     f"cannot parse partition '3,,1': {_BAD_PART}"),
+    (["bijection", "--name", "132-231-partition", "--inverse", "--input", "2,x", "--n", "5"],
+     f"cannot parse partition '2,x': {_BAD_PART}"),
+], ids=["foata", "foata-inverse", "decompose", "word-bijection", "empty-part", "letter-part"])
+def test_a_bad_word_or_partition_is_named(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", f"patstat: {message}\n")
+
+
 def test_mahonian_exit_codes(capsys):
     code, out, _ = run_cli(
         ["mahonian", "--left", "132,213", "--right", "132,231", "--n", "6"], capsys

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_avoiders, des_brute, inv_brute, maj_brute
-from patstat import formulas
+from patstat import formulas, perms
 from patstat.engine import SearchCancelled
 from patstat.polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer
 
@@ -108,6 +108,14 @@ def test_every_closed_form_is_one_at_zero():
         got = formulas.closed_form(fid, 0)
         want = QPoly.one() if entry.kind == "q" else QTPoly.one()
         assert got == want, fid
+
+
+def test_each_inv_row_is_one_orbit_of_the_inv_preserving_symmetries():
+    rows = [entry for entry in formulas.CLOSED_FORMS.values() if entry.kind == "q"]
+    assert len(rows) == 8
+    for entry in rows:
+        for pats in entry.pattern_sets:
+            assert perms.orbit(pats, perms.INV_PRESERVING) == entry.pattern_sets, pats
 
 
 def test_closed_forms_against_brute_force_small():

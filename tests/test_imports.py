@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module, and no module but
-the engine names the engine's profile cache.
+"""Every imported name is read somewhere in its module, no module but the
+engine names the engine's profile cache, and no function of the package
+drops keyword arguments it does not know into a `**_` catch-all.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -64,3 +65,22 @@ def test_only_the_engine_names_its_profile_cache():
 def test_identifiers_include_attributes_and_imports():
     tree = ast.parse("from a import b as c\nx.y = z\n")
     assert identifiers(tree) == {"b", "x", "y", "z"}
+
+
+def catch_alls(tree: ast.Module) -> list[str]:
+    """The functions with a `**_` parameter: it accepts any keyword, one meant
+    for another function too, and drops it."""
+    return [getattr(node, "name", "<lambda>") for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and node.args.kwarg is not None and node.args.kwarg.arg == "_"]
+
+
+def test_no_function_of_the_package_takes_a_catch_all():
+    found = [f"{path.name} {name}" for path in SOURCES if path.parent.name == "patstat"
+             for name in catch_alls(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_scan_finds_a_catch_all():
+    tree = ast.parse("def f(a, **_): pass\ndef g(**kw): pass\nh = lambda **_: 0\n")
+    assert catch_alls(tree) == ["f", "<lambda>"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -164,6 +165,28 @@ def test_statistic_moves_match_the_statistics_of_the_images():
                 inv = perms.inv(p)
                 want = math.comb(n, 2) - inv if tag in perms.INV_REVERSING else inv
                 assert perms.inv(image) == want, (tag, p)
+
+
+@pytest.mark.parametrize("tags", [perms.INV_PRESERVING, tuple(perms.STAT_MOVES)],
+                         ids=["inv-preserving", "stat-moves"])
+def test_image_and_orbit_match_a_brute_force_closure(tags):
+    def brute_image(tag, pats):
+        return tuple(sorted(_by_point_map(tag, p) for p in pats))
+
+    s3 = sorted(perms.all_perms(3))
+    keys = [s for size in range(7) for s in itertools.combinations(s3, size)]
+    for pats in keys + [(p,) for p in perms.all_perms(4)]:
+        # every set that the tags reach from pats in any number of steps
+        closure, frontier = set(), [tuple(sorted(pats))]
+        while frontier:
+            here = frontier.pop()
+            if here not in closure:
+                closure.add(here)
+                for tag in tags:
+                    found = brute_image(tag, here)
+                    assert perms.image(tag, here[::-1]) == found, (tag, here)
+                    frontier.append(found)
+        assert perms.orbit(pats[::-1], tags) == tuple(sorted(closure)), pats
 
 
 def test_sample_tells_the_symmetries_apart():

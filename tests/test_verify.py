@@ -82,6 +82,22 @@ def test_transport_checks_leave_the_profile_cache_alone(name):
     assert [key for key, prof in before.items() if engine._profile_cache.get(key) is not prof] == []
 
 
+def test_the_complement_check_runs_the_complement(monkeypatch):
+    # a complement move that forgets to reverse inv keeps every maj
+    # polynomial right, so only a run on the complement itself can show it
+    moved = engine.Profile.moved
+
+    def forgets_inv(self, n, tag):
+        out = moved(self, n, tag)
+        return engine.Profile(self.inv_poly, out.majdes_poly) if tag == "r0" else out
+
+    monkeypatch.setattr(engine.Profile, "moved", forgets_inv)
+    monkeypatch.setattr(engine, "_profile_cache", {})
+    r = dict(verify.PAPER_CHECKS)["maj-polynomial-complement"](6)
+    assert not r.passed
+    assert r.failures[0] == "profile of 321 moved from 123 != its own run at n=3"
+
+
 @pytest.mark.parametrize("name, fn, length, total", [
     # the descent transport case maps all 1430 members of Av_8(132) at once
     ("bijection-suite", "map_132_to_231", 8, math.comb(16, 8) // 9),
@@ -112,6 +128,13 @@ def test_check_result_lines():
         line = r.line()
         assert line.startswith(("PASS", "FAIL"))
         assert r.name in line
+
+
+def test_a_bound_of_another_conjecture_is_refused():
+    with pytest.raises(TypeError):
+        verify.conjecture_suite("sporadic-maj", pattern_length=4)
+    with pytest.raises(TypeError):
+        verify.conjecture_suite("maj-parity", max_inflation_length=6)
 
 
 def test_trivial_inv_wilf_names_unseparated_orbits(monkeypatch):
