@@ -24,22 +24,29 @@ from .polynomials import QPoly
 _POLY_STATS = ("inv", "maj", "majdes")
 
 
-def _poly_csv(p) -> str:
-    rows = ["q,t,c"]
-    if isinstance(p, QPoly):
-        rows += [f"{i},0,{c}" for i, c in enumerate(p.coeffs) if c]
+def _show(fmt: str, text: Callable[[], list], record: Callable[[], object],
+          csv: Optional[Callable[[], list]] = None) -> None:
+    """Print a command's finished result in the chosen format: json prints the
+    record, csv the rows of a command that has them, and every other case the
+    text lines, if there are any.  Each form is a function of no arguments, so
+    only the form printed is built."""
+    if fmt == "json":
+        print(json.dumps(record()))
+    elif fmt == "csv" and csv is not None:
+        print("\n".join(csv()))
     else:
-        rows += [f"{qe},{te},{c}" for qe, te, c in p.terms]
-    return "\n".join(rows)
+        lines = text()
+        if lines:
+            print("\n".join(lines))
 
 
-def _emit_poly(p, fmt: str, meta: dict) -> None:
-    if fmt == "text":
-        print(p)
-    elif fmt == "json":
-        print(json.dumps({**meta, "poly": p.to_json()}))
-    else:
-        print(_poly_csv(p))
+def _show_poly(fmt: str, p, meta: dict) -> None:
+    """A QPoly or QTPoly as its text, as meta plus the poly in json, or as q,t,c rows."""
+    def rows():
+        terms = ([(i, 0, c) for i, c in enumerate(p.coeffs) if c] if isinstance(p, QPoly)
+                 else p.terms)
+        return ["q,t,c"] + [f"{qe},{te},{c}" for qe, te, c in terms]
+    _show(fmt, lambda: [str(p)], lambda: {**meta, "poly": p.to_json()}, rows)
 
 
 def _deadline_checker(limit: Optional[float]) -> Optional[Callable[[], bool]]:
@@ -167,11 +174,9 @@ def _cmd_enumerate(args) -> int:
         print(f"patstat: time limit exceeded, output incomplete after {emitted} avoiders",
               file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "patterns": list(map(format_perm, patterns)),
-                          "avoiders": out}))
-    elif args.format == "csv":
-        print("\n".join(["perm"] + out))
+    _show(args.format, lambda: [],  # the text went out as it was found
+          lambda: {"n": args.n, "patterns": list(map(format_perm, patterns)), "avoiders": out},
+          lambda: ["perm"] + out)
     return 0
 
 
@@ -179,11 +184,8 @@ def _cmd_count(args) -> int:
     patterns = parse_pattern_set(args.avoid)
     count = engine.count_avoiders(args.n, patterns,
                                   should_stop=_deadline_checker(args.limit_seconds))
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "patterns": list(map(format_perm, patterns)),
-                          "count": count}))
-    else:
-        print(count)
+    _show(args.format, lambda: [str(count)],
+          lambda: {"n": args.n, "patterns": list(map(format_perm, patterns)), "count": count})
     return 0
 
 
@@ -194,55 +196,40 @@ def _cmd_poly(args) -> int:
         poly = engine.maj_des_poly(args.n, patterns, should_stop=stop)
     else:
         poly = engine.stat_poly(args.n, patterns, args.stat, should_stop=stop)
-    meta = {"n": args.n, "patterns": [format_perm(p) for p in patterns],
-            "stat": args.stat}
-    _emit_poly(poly, args.format, meta)
+    meta = {"n": args.n, "patterns": list(map(format_perm, patterns)), "stat": args.stat}
+    _show_poly(args.format, poly, meta)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    report = engine.classify(
-        args.k, args.size, args.stat, args.nmax,
-        should_stop=_deadline_checker(args.limit_seconds),
-    )
-    if args.format == "json":
-        print(json.dumps(report.to_json()))
-    else:
-        for cls in report.classes:
-            print(" | ".join(",".join(format_perm(p) for p in s) for s in cls))
+    report = engine.classify(args.k, args.size, args.stat, args.nmax,
+                             should_stop=_deadline_checker(args.limit_seconds))
+    _show(args.format, lambda: [" | ".join(cls) for cls in report.to_json()], report.to_json)
     return 0
 
 
 def _cmd_series(args) -> int:
     s = formulas.series_expand(args.gf, args.order,
                                should_stop=_deadline_checker(args.limit_seconds))
-    if args.format == "json":
-        print(json.dumps({"id": args.gf, "order": args.order, "coeffs": s.to_json()}))
-    elif args.format == "csv":
-        rows = ["x,q,t,c"]
-        for i, c in enumerate(s.coeffs):
-            rows += [f"{i},{qe},{te},{v}" for qe, te, v in c.terms]
-        print("\n".join(rows))
-    else:
-        for i, c in enumerate(s.coeffs):
-            print(f"x^{i}: {c}")
+    _show(args.format, lambda: [f"x^{i}: {c}" for i, c in enumerate(s.coeffs)],
+          lambda: {"id": args.gf, "order": args.order, "coeffs": s.to_json()},
+          lambda: ["x,q,t,c"] + [f"{i},{qe},{te},{v}" for i, c in enumerate(s.coeffs)
+                                 for qe, te, v in c.terms])
     return 0
 
 
 def _cmd_formula(args) -> int:
     poly = formulas.closed_form(args.formula_id, args.n)
-    _emit_poly(poly, args.format, {"id": args.formula_id, "n": args.n})
+    _show_poly(args.format, poly, {"id": args.formula_id, "n": args.n})
     return 0
 
 
 def _cmd_foata(args) -> int:
     w = words.parse_word(args.word)
     image = words.foata_inverse(w) if args.inverse else words.foata(w)
-    if args.format == "json":
-        print(json.dumps({"word": words.format_word(w) if w else "",
-                          "image": words.format_word(image) if image else ""}))
-    else:
-        print(words.format_word(image))
+    _show(args.format, lambda: [words.format_word(image)],
+          lambda: {"word": words.format_word(w) if w else "",
+                   "image": words.format_word(image) if image else ""})
     return 0
 
 
@@ -250,14 +237,12 @@ def _cmd_decompose(args) -> int:
     w = words.parse_word(args.word)
     lam, d = words.lambda_of(w), words.durfee(w)
     beta, rho = words.beta_of(w), words.rho_of(w)
-    if args.format == "json":
-        print(json.dumps({"lambda": list(lam), "d": d,
-                          "beta": list(beta), "rho": list(rho)}))
-    else:
-        print(f"lambda={words.format_partition(lam)}")
-        print(f"d={d}")
-        print(f"beta={words.format_partition(beta)}")
-        print(f"rho={words.format_partition(rho)}")
+    _show(args.format,
+          lambda: [f"lambda={words.format_partition(lam)}",
+                   f"d={d}",
+                   f"beta={words.format_partition(beta)}",
+                   f"rho={words.format_partition(rho)}"],
+          lambda: {"lambda": list(lam), "d": d, "beta": list(beta), "rho": list(rho)})
     return 0
 
 
@@ -284,25 +269,19 @@ def _cmd_mahonian(args) -> int:
     right = AvoidanceQuery(args.n, parse_pattern_set(args.right))
     ok = engine.mahonian_pair_check(
         left, right, should_stop=_deadline_checker(args.limit_seconds))
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "left": args.left, "right": args.right,
-                          "mahonian": ok}))
-    else:
-        print("true" if ok else "false")
+    _show(args.format, lambda: ["true" if ok else "false"],
+          lambda: {"n": args.n, "left": args.left, "right": args.right, "mahonian": ok})
     return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
     run = verify.run_paper_suite if args.suite == "paper" else verify.run_conjecture_suite
     results = run(args.nmax, should_stop=_deadline_checker(args.limit_seconds))
-    if args.format == "json":
-        print(json.dumps([{"name": r.name, "passed": r.passed, "cases": r.cases,
-                           "failures": list(r.failures)} for r in results]))
-    else:
-        for r in results:
-            print(r.line())
-        passed = sum(r.passed for r in results)
-        print(f"{passed}/{len(results)} checks passed")
+    passed = sum(r.passed for r in results)
+    _show(args.format,
+          lambda: [r.line() for r in results] + [f"{passed}/{len(results)} checks passed"],
+          lambda: [{"name": r.name, "passed": r.passed, "cases": r.cases,
+                    "failures": list(r.failures)} for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -34,6 +34,7 @@ from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import perms
 from .perms import (INV_REVERSING, STAT_MOVES, Perm, _match_plan, all_perms, format_pattern_set,
                     image, perm)
 from .polynomials import QPoly, QTPoly
@@ -506,8 +507,6 @@ def maj_des_poly(n: int, patterns: Iterable[Sequence[int]],
 
 def stat_multiset(patterns: Iterable[Sequence[int]], stat: str) -> tuple[int, ...]:
     """Sorted multiset of the statistic over the patterns themselves."""
-    from . import perms
-
     fn = {"inv": perms.inv, "maj": perms.maj, "des": perms.des}[stat]
     return tuple(sorted(fn(p) for p in canonical_patterns(patterns)))
 

@@ -88,7 +88,11 @@ def parse_perm(text: str) -> Perm:
     if text in ("", "ε", "eps", "()"):
         return EMPTY
     if "," in text:
-        return perm(int(part) for part in text.split(","))
+        try:
+            values = [int(part) for part in text.split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse permutation {text!r}") from None
+        return perm(values)
     if not text.isdigit():
         raise ValueError(f"cannot parse permutation {text!r}")
     return perm(int(ch) for ch in text)

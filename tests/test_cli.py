@@ -200,7 +200,10 @@ _BAD_PART = "each part must be an integer"
      f"cannot parse partition '3,,1': {_BAD_PART}"),
     (["bijection", "--name", "132-231-partition", "--inverse", "--input", "2,x", "--n", "5"],
      f"cannot parse partition '2,x': {_BAD_PART}"),
-], ids=["foata", "foata-inverse", "decompose", "word-bijection", "empty-part", "letter-part"])
+    (["bijection", "--name", "231-321", "--input", "2,x,1"], "cannot parse permutation '2,x,1'"),
+    (["bijection", "--name", "231-321", "--input", "2,,1"], "cannot parse permutation '2,,1'"),
+], ids=["foata", "foata-inverse", "decompose", "word-bijection", "empty-part", "letter-part",
+        "letter-in-perm", "empty-in-perm"])
 def test_a_bad_word_or_partition_is_named(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

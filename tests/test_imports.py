@@ -1,6 +1,7 @@
-"""Every imported name is read somewhere in its module, no module but the
-engine names the engine's profile cache, and no function of the package
-drops keyword arguments it does not know into a `**_` catch-all.
+"""Every imported name is read somewhere in its module, the package imports
+only at the top of a module, no module but the engine names the engine's
+profile cache, and no function of the package drops keyword arguments it
+does not know into a `**_` catch-all.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -84,3 +85,23 @@ def test_no_function_of_the_package_takes_a_catch_all():
 def test_scan_finds_a_catch_all():
     tree = ast.parse("def f(a, **_): pass\ndef g(**kw): pass\nh = lambda **_: 0\n")
     assert catch_alls(tree) == ["f", "<lambda>"]
+
+
+def imports_in_functions(tree: ast.Module) -> list[str]:
+    """The functions whose body imports: what a module needs is read from its
+    top, and an import is not run again on every call."""
+    return [f"{node.name} line {inner.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_package_imports_only_at_module_level():
+    found = [f"{path.name} {hit}" for path in SOURCES if path.parent.name == "patstat"
+             for hit in imports_in_functions(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_scan_finds_an_import_in_a_function():
+    tree = ast.parse("import os\ndef f():\n    import sys\n    return sys\n"
+                     "class C:\n    def g(self):\n        from a import b\n")
+    assert imports_in_functions(tree) == ["f line 3", "g line 7"]

@@ -76,6 +76,7 @@ def test_parse_and_format_roundtrip():
     assert perms.parse_perm("41523") == (4, 1, 5, 2, 3)
     assert perms.parse_perm("10,1,2,3,4,5,6,7,8,9") == (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)
     assert perms.parse_perm("ε") == ()
+    assert perms.parse_perm("2, 1,3") == (2, 1, 3)
     assert perms.format_perm(()) == "ε"
     assert perms.format_perm((4, 1, 5, 2, 3)) == "41523"
     big = tuple(range(10, 0, -1))
