@@ -16,8 +16,9 @@ the contract.  Many prefixes have no completion although no free value
 completes a pattern yet.  Once all children of a state have been walked,
 the state keeps only those that have a completion, so the subtree of a
 dead state is walked once at most, and the walk costs about the number of
-states plus the avoiders times n.  The last _TAIL values of each avoider
-come from a table, per state, of the orders that complete it.  Profiles
+states plus the avoiders times n.  The last few values of each avoider
+come from a table, per state, of the orders that complete it, built from
+the completions of its children as rank codes (see _getter).  Profiles
 (the inv polynomial and the joint maj/des polynomial) run the same rules
 level by level, carrying one polynomial pair per state rather than
 visiting the avoiders one by one (see _dp_profile).
@@ -52,10 +53,11 @@ class SearchCancelled(RuntimeError):
 
 
 _STOP_CHECK_INTERVAL = 4096
-# enumeration reads the last _TAIL values of each avoider from a table per
-# state; of 2 to 5, 4 enumerated the benchmark's S3 sets fastest, and 5 was
-# slower on its small S4 sets
-_TAIL = 4
+# enumeration reads the last min(_TAIL, max(4, n - 3)) values of each avoider
+# from a table per state, so at least three placed values lie above a table,
+# where states repeat; a table at 6 values free for every n made enumeration
+# at n = 7 1.7 times slower, its tables built for states met once
+_TAIL = 6
 
 
 def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
@@ -248,6 +250,22 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
 # enumeration
 
 
+@functools.cache
+def _getter(k: int, code: int) -> Callable:
+    """The getter that puts a sorted list of k free values into one order,
+    given by its rank code: the rank r_k of its first value among all k,
+    then that of its second among the k - 1 left, and so on, read as the
+    number whose digit r_i has weight (i - 1)!, which is the order's
+    lexicographic rank in S_k.  So the cache holds at most k! getters per
+    k, and 1! + ... + 6! = 873 in all for k up to _TAIL."""
+    left = list(range(k))
+    picks = []
+    for i in range(k - 1, -1, -1):
+        r, code = divmod(code, math.factorial(i))
+        picks.append(left.pop(r))
+    return itemgetter(*picks)
+
+
 def enumerate_avoiders(
     n: int,
     patterns: Iterable[Sequence[int]],
@@ -267,24 +285,33 @@ def enumerate_avoiders(
         yield tuple(range(1, n + 1))
         return
     root, children = _transitions(n, pats)
-    # Per m, for each state met so far with m values free: above _TAIL, its
+    low = min(_TAIL, max(4, n - 3))  # values free at a table
+    # Per m, for each state met so far with m values free: above low, its
     # children, and once they have all been walked only those that have a
-    # completion; at min(n, _TAIL), the orders of the free values that
+    # completion; at min(n, low), the orders of the free values that
     # complete it, least first, as getters of index tuples into them; below
-    # that, its children, from which those orders are built.
+    # that, the rank codes of those orders (see _getter).
     memo: list[dict] = [{} for _ in range(n + 1)]
 
-    def kids(state, m: int) -> list:
-        known = memo[m]
+    def ranks(state, k: int) -> list:
+        """The rank codes of the orders of k free values that complete a
+        state, least first, from those of its children."""
+        w = math.factorial(k - 1)
+        return [c[0] * w + x for c in children(state, k) for x in codes(c, k - 1)]
+
+    def codes(state, k: int) -> list:
+        if not k:
+            return [0]
+        known = memo[k]
         out = known.get(state)
         if out is None:
-            out = known[state] = children(state, m)
+            out = known[state] = ranks(state, k)
         return out
 
     # Pending placements (state after it, values still free after it, value
     # placed), least rank on top.  A popped value goes into the one shared
     # prefix, whose earlier positions then hold the values of its ancestors.
-    # A state other than the root met for the first time above _TAIL also
+    # A state other than the root met for the first time above low also
     # leaves (state, [], m) below its children, which marks them all walked.
     pending: list = []
     prefix = [0] * n
@@ -300,7 +327,7 @@ def enumerate_avoiders(
         m = len(free)
         known = memo[m]
         out = known.get(state)
-        if m > _TAIL:
+        if m > low:
             if out is None:
                 # leave out the children already known to have no completion
                 below = memo[m - 1]
@@ -312,14 +339,7 @@ def enumerate_avoiders(
                 pending.append((child, free[:r] + free[r + 1:], free[r]))
         else:
             if out is None:
-                # (indices placed, indices left, state after them), level by
-                # level; this state's own children are needed only here
-                orders = [((), list(range(m)), state)]
-                for k in range(m, 0, -1):
-                    orders = [(t + (left[c[0]],), left[:c[0]] + left[c[0] + 1:], c)
-                              for t, left, s in orders
-                              for c in (kids(s, k) if k < m else children(s, k))]
-                out = known[state] = [itemgetter(*t) for t, _, _ in orders]
+                out = known[state] = [_getter(m, code) for code in ranks(state, m)]
             ticker += len(out)  # a tick per avoider too, for a prompt deadline
             head = tuple(prefix[:n - m])
             for tail in out:
@@ -341,6 +361,10 @@ def enumerate_avoiders(
 # statistic profiles: a dynamic program over prefix states
 
 
+# QTPoly's term order: by t (des), then by q (maj)
+_DES_MAJ = itemgetter(1, 0)
+
+
 @dataclass(frozen=True)
 class Profile:
     """Joint statistics over one avoidance set."""
@@ -359,8 +383,10 @@ class Profile:
         perms.INV_REVERSING and QPoly.reverse, maj and des by the table."""
         rule = STAT_MOVES[tag]
         inv_poly = self.inv_poly.reverse(n) if tag in INV_REVERSING else self.inv_poly
-        return Profile(inv_poly, QTPoly.from_counts(
-            {rule(n, maj, des): c for maj, des, c in self.majdes_poly.terms}))
+        # the move is a bijection on (maj, des), so no two terms share a key
+        terms = [(*rule(n, maj, des), c) for maj, des, c in self.majdes_poly.terms]
+        terms.sort(key=_DES_MAJ)
+        return Profile(inv_poly, QTPoly._from_terms(tuple(terms)))
 
 
 def _anchored(patterns: Iterable[Perm]) -> int:
@@ -415,12 +441,10 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
         level = nxt
 
     inv_coeffs = _unpack(sum(a for a, _ in level.values()), slot_bytes, maj_span)
-    md_coeffs = _unpack(sum(b for _, b in level.values()), slot_bytes, maj_span * n)
-    counts = {}
-    for index in compress(range(len(md_coeffs)), md_coeffs):
-        des, maj = divmod(index, maj_span)
-        counts[(maj, des)] = md_coeffs[index]
-    return Profile(QPoly(inv_coeffs), QTPoly.from_counts(counts))
+    md = _unpack(sum(b for _, b in level.values()), slot_bytes, maj_span * n)
+    # slot maj + maj_span*des comes in QTPoly's (des, maj) term order
+    return Profile(QPoly._from_list(inv_coeffs), QTPoly._from_terms(tuple(
+        [(i % maj_span, i // maj_span, md[i]) for i in compress(range(len(md)), md)])))
 
 
 # machine words of 1, 2, 4 and 8 bytes, which memoryview.cast reads in one call

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_avoiders, des_brute, inv_brute, maj_brute, patterns_of
+from conftest import (brute_avoiders, des_brute, grown_avoiders, inv_brute, maj_brute,
+                      patterns_of)
 from patstat import engine, perms, verify
 from patstat.engine import AvoidanceQuery, SearchCancelled
 from patstat.polynomials import QPoly, QTPoly
@@ -181,6 +183,71 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
         for n in range(7):
             out = list(engine.enumerate_avoiders(n, pats))
             assert out == sorted(set(out))
+
+
+@functools.lru_cache(maxsize=None)
+def _patterns4(n):
+    """{q: the length-4 patterns in q} for each q in S_n; past n = 5 each
+    4-subset of q misses one of its first five entries, so the patterns of
+    q are those of its deletions of those entries."""
+    if n <= 5:
+        return {q: frozenset(patterns_of(q, 4)) for q in itertools.permutations(range(1, n + 1))}
+    below = _patterns4(n - 1)
+    return {q: frozenset().union(*[below[tuple(x - (x > v) for x in q[:j] + q[j + 1:])]
+                                   for j, v in enumerate(q[:5])])
+            for q in itertools.permutations(range(1, n + 1))}
+
+
+def test_enumeration_matches_brute_filters_across_table_depths():
+    # tables have min(6, max(4, n - 3)) values free: n = 7, 8, 9 build them
+    # at 4, 5 and 6, each from rank codes of the states below
+    for pats in [s for r in range(7) for s in itertools.combinations(S3, r)]:
+        for n in range(10):
+            out = list(engine.enumerate_avoiders(n, pats))
+            assert out == grown_avoiders(n, pats), (pats, n)
+            assert all(a < b for a, b in zip(out, out[1:])), (pats, n)
+    for pats in [(p,) for p in S4] + list(itertools.combinations(S4, 2))[::7]:
+        out = list(engine.enumerate_avoiders(8, pats))
+        assert out == [q for q, found in _patterns4(8).items() if found.isdisjoint(pats)], pats
+        assert all(a < b for a, b in zip(out, out[1:])), pats
+
+
+def test_enumeration_of_every_s3_set_is_pinned():
+    # the SHA-1 of what the walk yielded before its tables were built from
+    # rank codes: every S3 set at n <= 10, the empty set at n <= 9
+    digest = hashlib.sha1()
+    for pats in [s for r in range(7) for s in itertools.combinations(S3, r)]:
+        for n in range(11 if pats else 10):
+            digest.update(repr((pats, n)).encode())
+            for p in engine.enumerate_avoiders(n, pats):
+                digest.update(bytes(p))
+    assert digest.hexdigest() == "3d4bf25847a963ea0e40ebe9d4c9d912b50fba29"
+
+
+def test_table_getters_are_shared_and_bounded():
+    for p in S4:
+        assert sum(1 for _ in engine.enumerate_avoiders(9, [p])) > 0
+    # one getter per order of k <= 6 free values at most: 1! + ... + 6!
+    assert engine._getter.cache_info().currsize <= 873
+    # a code is the lexicographic rank of its order
+    for k in range(2, 6):
+        assert ([engine._getter(k, code)(range(k)) for code in range(math.factorial(k))]
+                == sorted(itertools.permutations(range(k))))
+
+
+def test_profiles_are_built_and_moved_in_term_order():
+    # _dp_profile reads its terms off the slots in QTPoly's order and
+    # Profile.moved sorts its moved terms once; both must equal building
+    # from a {(maj, des): count} dict, term for term
+    for pats in [s for r in range(7) for s in itertools.combinations(S3, r)] + [(p,) for p in S4]:
+        for n in range(9):
+            prof = engine._dp_profile(n, pats, None)
+            terms = prof.majdes_poly.terms
+            assert terms == QTPoly.from_counts({(q, t): c for q, t, c in terms}).terms, (pats, n)
+            assert prof.inv_poly.coeffs == QPoly(prof.inv_poly.coeffs).coeffs, (pats, n)
+            for tag, rule in perms.STAT_MOVES.items():
+                want = QTPoly.from_counts({rule(n, q, t): c for q, t, c in terms})
+                assert prof.moved(n, tag).majdes_poly.terms == want.terms, (pats, n, tag)
 
 
 def _tally(n, avoiders, inv, maj, des):
@@ -381,15 +448,19 @@ def test_cancellation():
 
 
 def test_enumeration_yields_before_listing_more():
-    # Av_10(empty) has 10! members; the first must come without holding others
-    tracemalloc.start()
-    try:
-        first = next(engine.enumerate_avoiders(10, ()))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == tuple(range(1, 11))
-    assert peak < 2**20
+    # Av_10(empty) has 10! members, Av_13(1324) over 10^8; the first must
+    # come without holding others (a first avoider of the latter once took
+    # 0.68 s)
+    for n, pats, want in [(10, (), tuple(range(1, 11))),
+                          (13, [(1, 3, 2, 4)], tuple(range(1, 14)))]:
+        tracemalloc.start()
+        try:
+            first = next(engine.enumerate_avoiders(n, pats))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == want
+        assert peak < 2**20, (n, pats, peak)
 
 
 # Av_n(123, 132, 231): n, ..., 1 with one value moved to the end
@@ -566,19 +637,31 @@ def test_count_is_checked_against_64_bits():
         engine.count_avoiders(36, ((3, 2, 1),))
 
 
-def test_largest_accepted_n_stays_under_an_rss_cap():
-    # 1324 at n = 13, the largest S4 profile the ROADMAP times, peaks at
-    # about 30 MiB for the whole process, and at about 40 MiB when its
-    # pattern table is not emptied at engine._COPY_MOVES_MAX moves.  Linux
-    # carries ru_maxrss over from the forking process (pytest, here), so
-    # the peak is read as VmHWM, which starts afresh with the new program.
-    code = ("from patstat import engine; "
-            "assert engine.count_avoiders(13, [(1, 3, 2, 4)]) == 173453058; "
+def _peak_kib(statement):
+    """VmHWM of a fresh interpreter that imports the engine and runs the
+    statement.  Linux carries ru_maxrss over from the forking process
+    (pytest, here), while VmHWM starts afresh with the new program."""
+    code = (f"from patstat import engine; {statement}; "
             "print(*[line.split()[1] for line in open('/proc/self/status') "
             "if line.startswith('VmHWM:')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 36 * 1024  # kB
+    return int(proc.stdout)
+
+
+def test_largest_accepted_n_stays_under_an_rss_cap():
+    # 1324 at n = 13, the largest S4 profile the ROADMAP times, peaks at
+    # about 30 MiB for the whole process, and at about 40 MiB when its
+    # pattern table is not emptied at engine._COPY_MOVES_MAX moves
+    assert _peak_kib("assert engine.count_avoiders(13, [(1, 3, 2, 4)]) == 173453058") < 36 * 1024
+
+
+def test_enumeration_stays_under_an_rss_cap():
+    # Av_10(1324) (591,950 members) is walked, not stored: the process
+    # peaks at about 17.6 MiB, 1.3 MiB above patstat just imported, since
+    # the states and their tables stay small whatever the size of the set
+    assert _peak_kib("assert sum(1 for _ in engine.enumerate_avoiders(10, [(1, 3, 2, 4)]))"
+                     " == 591950") < 20 * 1024
 
 
 def test_import_does_not_load_verify():
