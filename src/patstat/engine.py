@@ -20,8 +20,8 @@ states plus the avoiders times n.  The last few values of each avoider
 come from a table, per state, of the orders that complete it, built from
 the completions of its children as rank codes (see _getter).  Profiles
 (the inv polynomial and the joint maj/des polynomial) run the same rules
-level by level, carrying one polynomial pair per state rather than
-visiting the avoiders one by one (see _dp_profile).
+level by level, carrying one polynomial pair per state and previous cut
+rather than visiting the avoiders one by one (see _dp_profile).
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class _CopyTables(NamedTuple):
     (perms._match_plan).  order[j] lists the indices of pat[:j] by
     increasing value, and need[j][g] counts the entries of pat[j:] whose
     value falls in gap g of pat[:j] (gap 0 below its least value, gap j
-    above its greatest).  moves maps (copy set, r, m) to _step_copies's
-    result, which depends on the pattern alone.
+    above its greatest).  moves maps (copy set, m) to the row of
+    _step_copies's results for r < m, which depends on the pattern alone.
     """
 
     k: int
@@ -90,11 +90,11 @@ class _CopyTables(NamedTuple):
 
 
 # The tables of the _COPY_TABLE_PATTERNS patterns used last are kept (all of
-# S4 fits), each emptied at _COPY_MOVES_MAX moves: at about 310 bytes a move,
-# 2.5 MiB a table and 80 MiB in all (classify over S4 to n = 11 holds 30 MiB).
-# Half that cap made that classify as slow as recomputing every move.
+# S4 fits), each emptied at _COPY_ROWS_MAX rows: at about 1.7 kB a row, 2.6 MiB
+# a table and 85 MiB in all.  classify over S4 to n = 11 stores at most 1,491
+# rows in one table, so it empties none, and holds 15 MiB of rows in all.
 _COPY_TABLE_PATTERNS = 32
-_COPY_MOVES_MAX = 1 << 13
+_COPY_ROWS_MAX = 1536
 
 
 @functools.lru_cache(maxsize=_COPY_TABLE_PATTERNS)
@@ -161,25 +161,17 @@ def _step_copies(tables: _CopyTables, copies: frozenset, r: int, m: int) -> Opti
     return frozenset(out)
 
 
-def _step_all(longs: list[_CopyTables], copies: tuple[frozenset, ...], r: int,
-              m: int) -> Optional[tuple[frozenset, ...]]:
-    """_step_copies for each pattern, read from the pattern's table, where a
-    move is stored once it is computed."""
-    out = []
-    for tables, held in zip(longs, copies):
-        moves = tables.moves
-        key = (held, r, m)
-        try:
-            step = moves[key]
-        except KeyError:
-            step = _step_copies(tables, held, r, m)
-            if len(moves) >= _COPY_MOVES_MAX:
-                moves.clear()
-            moves[key] = step
-        if step is None:
-            return None
-        out.append(step)
-    return tuple(out)
+def _moves_row(tables: _CopyTables, held: frozenset, m: int) -> tuple:
+    """_step_copies(tables, held, r, m) for r = 0 .. m - 1, read from the
+    pattern's table, where a row is stored whole once it is computed."""
+    moves = tables.moves
+    row = moves.get((held, m))
+    if row is None:
+        row = tuple([_step_copies(tables, held, r, m) for r in range(m)])
+        if len(moves) >= _COPY_ROWS_MAX:
+            moves.clear()
+        moves[held, m] = row
+    return row
 
 
 def _transitions(n: int, patterns: tuple[Perm, ...]):
@@ -188,17 +180,19 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
     With m values still free, the free value of rank r (0-based) is placed
     next: an old cut c becomes c - 1 if c > r and the new entry gets cut r.
     A state holds what the completions can still see of the prefix, in
-    cuts: the previous entry; the least and greatest entries (for 123, 132,
-    321, 312); which gaps strictly inside the free values hold an entry (for
-    213, 231); and for each pattern pat of length k >= 4 the set of cut
-    tuples of the copies of pat[:j], 1 <= j <= k - 2, that still fit in the
-    free values.  A copy of pat[:-1] is settled when it forms: a free value
-    in its completion gap kills the prefix, and an empty gap stays empty.
-    Prefixes with equal states have the same completions.
+    cuts: the least and greatest entries (for 123, 132, 321, 312); which
+    gaps strictly inside the free values hold an entry (for 213, 231); and
+    for each pattern pat of length k >= 4 the set of cut tuples of the
+    copies of pat[:j], 1 <= j <= k - 2, that still fit in the free values.
+    A copy of pat[:-1] is settled when it forms: a free value in its
+    completion gap kills the prefix, and an empty gap stays empty.
+    Prefixes with equal states have the same completions.  The cut of the
+    previous entry, which decides descents, is the r of the placement that
+    made the state, not part of it (see _dp_profile).
 
-    Returns the root state and children(state, m), the list of child
-    states in increasing r; a child's first field is its r.  Patterns of
-    length 0 and 1 are left to the caller.
+    Returns the root state and children(state, m), the list of (r, child
+    state) pairs in increasing r.  Patterns of length 0 and 1 are left to
+    the caller.
     """
     f12 = (1, 2) in patterns
     f21 = (2, 1) in patterns
@@ -214,8 +208,10 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
     longs = [_copy_tables(p) for p in patterns if len(p) >= 4]
 
     def children(state, m: int) -> list:
-        _, min_cut, max_cut, mid, copies = state
+        min_cut, max_cut, mid, copies = state
         inner = (1 << (m - 1)) - 2 if m > 1 else 0  # gaps 1 .. m-2 of the child
+        if longs:
+            steps = list(zip(*[_moves_row(t, held, m) for t, held in zip(longs, copies)]))
         out = []
         for r in range(m):
             if f12 and r != m - 1 or f21 and r:
@@ -226,24 +222,21 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
                 continue
             if f213 and mid >> (r + 1) or f231 and mid & ((2 << r) - 1):
                 continue
-            moved = copies
-            if longs:
-                moved = _step_all(longs, copies, r, m)
-                if moved is None:
-                    continue
-            out.append((
-                r,
+            moved = steps[r] if longs else copies
+            if longs and None in moved:  # some pattern's row kills the placement
+                continue
+            out.append((r, (
                 min(r, min_cut) if track_min else 0,
                 (r if r >= max_cut else max_cut - 1) if track_max else 0,
                 ((mid & ((2 << r) - 1)) | (mid >> (r + 1) << r) | (1 << r)) & inner
                 if track_mid else 0,
                 moved,
-            ))
+            )))
         return out
 
-    # (prev_cut, min_cut, max_cut, mid_mask, copies); the root's least entry
-    # is a sentinel above every value
-    return (0, n if track_min else 0, 0, 0, (frozenset(),) * len(longs)), children
+    # (min_cut, max_cut, mid_mask, copies); the root's least entry is a
+    # sentinel above every value
+    return (n if track_min else 0, 0, 0, (frozenset(),) * len(longs)), children
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +290,7 @@ def enumerate_avoiders(
         """The rank codes of the orders of k free values that complete a
         state, least first, from those of its children."""
         w = math.factorial(k - 1)
-        return [c[0] * w + x for c in children(state, k) for x in codes(c, k - 1)]
+        return [r * w + x for r, c in children(state, k) for x in codes(c, k - 1)]
 
     def codes(state, k: int) -> list:
         if not k:
@@ -331,11 +324,10 @@ def enumerate_avoiders(
             if out is None:
                 # leave out the children already known to have no completion
                 below = memo[m - 1]
-                out = known[state] = [c for c in children(state, m) if below.get(c, c)]
+                out = known[state] = [rc for rc in children(state, m) if below.get(rc[1], True)]
                 if out and m < n:
                     pending.append((state, [], m))
-            for child in reversed(out):
-                r = child[0]
+            for r, child in reversed(out):
                 pending.append((child, free[:r] + free[r + 1:], free[r]))
         else:
             if out is None:
@@ -353,7 +345,7 @@ def enumerate_avoiders(
             # a marker: keep the children of the state with `value` values
             # free that have a completion, so no later visit walks the others
             below = memo[value - 1]
-            memo[value][state] = [c for c in memo[value][state] if below[c]]
+            memo[value][state] = [rc for rc in memo[value][state] if below[rc[1]]]
         prefix[n - len(free) - 1] = value
 
 
@@ -382,9 +374,12 @@ class Profile:
         g named by tag, one of perms.STAT_MOVES: inv moves by
         perms.INV_REVERSING and QPoly.reverse, maj and des by the table."""
         rule = STAT_MOVES[tag]
+        # the rule is (maj, des) -> (a + s*maj + t*des, d + u*des) at n: three points fix it
+        (a, d), (a_s, _), (a_t, d_u) = rule(n, 0, 0), rule(n, 1, 0), rule(n, 0, 1)
+        s, t, u = a_s - a, a_t - a, d_u - d
         inv_poly = self.inv_poly.reverse(n) if tag in INV_REVERSING else self.inv_poly
         # the move is a bijection on (maj, des), so no two terms share a key
-        terms = [(*rule(n, maj, des), c) for maj, des, c in self.majdes_poly.terms]
+        terms = [(a + s * maj + t * des, d + u * des, c) for maj, des, c in self.majdes_poly.terms]
         terms.sort(key=_DES_MAJ)
         return Profile(inv_poly, QTPoly._from_terms(tuple(terms)))
 
@@ -398,11 +393,11 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
                 should_stop: Optional[Callable[[], bool]]) -> Profile:
     """The profile of Av_n(patterns) by a dynamic program over prefix states.
 
-    Each level maps a state of _transitions to the inv and maj/des
-    polynomials of the prefixes reaching it; only two levels are alive at
-    once.  Placing the free value of rank r adds r to inv (the smaller
-    values that follow it) and makes a descent iff r < the cut of the
-    previous entry.
+    Each level maps a (prev_cut, state) pair, as children returns it, to
+    the inv and maj/des polynomials of the prefixes reaching it; only two
+    levels are alive at once, and a state's children are computed once a
+    level.  Placing the free value of rank r adds r to inv (the smaller
+    values that follow it) and makes a descent iff r < prev_cut.
 
     Polynomials are packed into integers, one slot per exponent, so moving
     a prefix's polynomials to a child is a shift.  No coefficient exceeds
@@ -420,21 +415,24 @@ def _dp_profile(n: int, patterns: tuple[Perm, ...],
     slot = 8 * slot_bytes
     maj_span = math.comb(n, 2) + 1  # maj <= C(n, 2); md slot of q^maj t^des: maj + maj_span*des
 
-    level = {root: [1, 1]}
+    level = {(0, root): [1, 1]}
     for depth in range(n):
         m = n - depth
         nxt: dict = {}
-        for state, (inv_x, md_x) in level.items():
+        kids: dict = {}
+        for (prev_cut, state), (inv_x, md_x) in level.items():
             if should_stop is not None and should_stop():
                 raise SearchCancelled("profile stopped")
-            prev_cut = state[0]
-            for child in children(state, m):
-                r = child[0]
+            pairs = kids.get(state)
+            if pairs is None:
+                pairs = kids[state] = children(state, m)
+            for key in pairs:
+                r = key[0]
                 iv = inv_x << (slot * r)
                 mv = md_x << (slot * (depth + maj_span)) if r < prev_cut else md_x
-                acc = nxt.get(child)
+                acc = nxt.get(key)
                 if acc is None:
-                    nxt[child] = [iv, mv]
+                    nxt[key] = [iv, mv]
                 else:
                     acc[0] += iv
                     acc[1] += mv

@@ -42,7 +42,8 @@ INV_REVERSING: tuple[str, ...] = tuple(f for f, (_, r, c) in _STEPS.items() if r
 
 #: How reverse-complement ("R180"), reversal ("rinf") and complement ("r0") move
 #: (maj, des) at length n: R180 keeps des and sends maj to n*des - maj; r0 sends maj
-#: to C(n,2) - maj and des to n-1-des (0 at n = 0); rinf is r0 after R180.  inv moves
+#: to C(n,2) - maj and des to n-1-des (0 at n = 0); rinf is r0 after R180.  Each is
+#: affine, and des moves without maj (engine.Profile.moved relies on both).  inv moves
 #: by INV_REVERSING and QPoly.reverse(n); the inverse keeps inv but not maj or des.
 STAT_MOVES: dict[str, Callable[[int, int, int], tuple[int, int]]] = {
     "R180": lambda n, maj, des: (n * des - maj, des),

@@ -149,6 +149,8 @@ def test_nearest_entries_decide_whether_a_copy_extends():
 
 
 def test_cancelled_profile_keeps_only_complete_moves():
+    # a row of moves is stored whole, so a cancelled run leaves only rows
+    # with one move per rank, each the move _step_copies computes
     pats = ((1, 3, 2, 4), (2, 4, 1, 3))
     for k in (1, 10, 100):
         engine._copy_tables.cache_clear()
@@ -164,18 +166,51 @@ def test_cancelled_profile_keeps_only_complete_moves():
         assert polls == k
         for p in pats:
             tables = engine._copy_tables(p)
-            for (held, r, m), step in tables.moves.items():
-                assert engine._step_copies(tables, held, r, m) == step
+            for (held, m), row in tables.moves.items():
+                assert len(row) == m
+                assert list(row) == [engine._step_copies(tables, held, r, m) for r in range(m)]
         assert _query(7, pats) == _s4_brute(7)[7, pats]
 
 
 def test_full_tables_are_emptied_and_refilled(monkeypatch):
-    monkeypatch.setattr(engine, "_COPY_MOVES_MAX", 16)
+    monkeypatch.setattr(engine, "_COPY_ROWS_MAX", 4)
     engine._copy_tables.cache_clear()
     for pats in [((1, 3, 2, 4),), ((1, 3, 2, 4), (2, 4, 1, 3)), ((1, 2, 3, 4), (4, 3, 2, 1))]:
         assert _query(7, pats) == _s4_brute(7)[7, pats]
-        assert all(len(engine._copy_tables(p).moves) <= 16 for p in S4)
+        assert all(len(engine._copy_tables(p).moves) <= 4 for p in S4)
     engine._copy_tables.cache_clear()
+
+
+def test_profiles_of_long_patterns_are_pinned():
+    # the SHA-1 of _dp_profile while its states still held the cut of the
+    # previous entry: every S4 singleton at n <= 9, every 7th S4 pair at n <= 7
+    digest = hashlib.sha1()
+    keys = [((p,), n) for p in S4 for n in range(10)]
+    keys += [(pats, n) for pats in list(itertools.combinations(S4, 2))[::7] for n in range(8)]
+    for pats, n in keys:
+        prof = engine._dp_profile(n, pats, None)
+        digest.update(repr((pats, n, prof.inv_poly.coeffs, prof.majdes_poly.terms)).encode())
+    assert digest.hexdigest() == "3ec0e23286732af9adc5d63d6a8a882cbb0817b0"
+
+
+def test_profile_computes_each_states_children_once_per_level(monkeypatch):
+    # a level is keyed by (prev_cut, state); the children of a state met
+    # with several prev cuts are computed once and shared by all of them
+    calls = Counter()
+    transitions = engine._transitions
+
+    def counted(n, pats):
+        root, children = transitions(n, pats)
+
+        def wrapped(state, m):
+            calls[m, state] += 1
+            return children(state, m)
+        return root, wrapped
+
+    monkeypatch.setattr(engine, "_transitions", counted)
+    engine._dp_profile(10, ((1, 3, 2, 4),), None)
+    assert sum(calls.values()) == 497
+    assert set(calls.values()) == {1}
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
@@ -210,6 +245,25 @@ def test_enumeration_matches_brute_filters_across_table_depths():
         out = list(engine.enumerate_avoiders(8, pats))
         assert out == [q for q, found in _patterns4(8).items() if found.isdisjoint(pats)], pats
         assert all(a < b for a, b in zip(out, out[1:])), pats
+
+
+def test_enumeration_of_prev_free_states_matches_brute_filters():
+    # a state holds no cut of the previous entry, so placements of distinct
+    # ranks can reach one state; each must still yield its own avoiders
+    def check(pats, n, want):
+        out = list(engine.enumerate_avoiders(n, pats))
+        assert out == want, (pats, n)
+        assert all(a < b for a, b in zip(out, out[1:])), (pats, n)
+
+    for n in range(9):
+        for p in S4:
+            check((p,), n, [q for q, found in _patterns4(n).items() if p not in found])
+    cases = [((p,), 8) for p in sorted(perms.all_perms(5))[::10]]
+    cases += [(pats, 7) for pats in list(itertools.combinations(S4, 2))[::7]]
+    cases += [(pats, 7) for pats in list(itertools.product(S3, S4))[::5]]
+    for pats, top in cases:
+        for n in range(top + 1):
+            check(pats, n, grown_avoiders(n, pats))
 
 
 def test_enumeration_of_every_s3_set_is_pinned():
@@ -651,8 +705,8 @@ def _peak_kib(statement):
 
 def test_largest_accepted_n_stays_under_an_rss_cap():
     # 1324 at n = 13, the largest S4 profile the ROADMAP times, peaks at
-    # about 30 MiB for the whole process, and at about 40 MiB when its
-    # pattern table is not emptied at engine._COPY_MOVES_MAX moves
+    # about 32 MiB for the whole process, and at about 36 MiB when its
+    # pattern table is not emptied at engine._COPY_ROWS_MAX rows
     assert _peak_kib("assert engine.count_avoiders(13, [(1, 3, 2, 4)]) == 173453058") < 36 * 1024
 
 
