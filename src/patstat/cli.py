@@ -234,9 +234,7 @@ def _cmd_foata(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    w = words.parse_word(args.word)
-    lam, d = words.lambda_of(w), words.durfee(w)
-    beta, rho = words.beta_of(w), words.rho_of(w)
+    lam, d, beta, rho = words.decomposition(words.parse_word(args.word))
     _show(args.format,
           lambda: [f"lambda={words.format_partition(lam)}",
                    f"d={d}",

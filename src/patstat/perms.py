@@ -226,11 +226,12 @@ def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
     if k > n:
         return False
     at = [0] * k  # the positions in p matched to pattern[:j]
+    floor, ceiling = -math.inf, math.inf  # the bounds of an unbounded side
     j = i = 0
     while True:
         lo, hi = plan[j]
-        low = p[at[lo]] if lo >= 0 else -math.inf
-        high = p[at[hi]] if hi >= 0 else math.inf
+        low = p[at[lo]] if lo >= 0 else floor
+        high = p[at[hi]] if hi >= 0 else ceiling
         last = n - k + j
         while i <= last and not low < p[i] <= high:
             i += 1
@@ -342,13 +343,14 @@ def inflate(base: Perm, components: Sequence[Perm]) -> Perm:
         raise ValueError(
             f"inflation needs {len(base)} components, got {len(components)}"
         )
-    sizes = [len(c) for c in components]
-    value_offset = [
-        sum(sizes[j] for j in range(len(base)) if base[j] < base[i])
-        for i in range(len(base))
-    ]
+    # a block's values start above the blocks of every lower base entry
+    offset = [0] * len(base)
+    total = 0
+    for i in sorted(range(len(base)), key=base.__getitem__):
+        offset[i] = total
+        total += len(components[i])
     out: list[int] = []
-    for comp, off in zip(components, value_offset):
+    for comp, off in zip(components, offset):
         out.extend(off + v for v in comp)
     return tuple(out)
 

@@ -238,15 +238,18 @@ def _independent_run(n: int, pat: perms.Perm, tag: str, should_stop: Stop) -> Ou
 def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
     for pat in _patterns_s3_s4():
         least = _least_of_orbit(pat)
+        # the pattern's own polynomial at each length, as it is and reversed
+        kept = [engine.stat_poly(n, (pat,), "inv", should_stop) for n in range(nmax + 1)]
+        flipped = [want.reverse(n) for n, want in enumerate(kept)]
         for f, image in zip(perms.SYMMETRIES, _images(pat)):
+            wants = flipped if f in perms.INV_REVERSING else kept
             for n in range(nmax + 1):
                 # once per orbit and length; below the pattern's length
                 # every permutation avoids it, and each run counts all of S_n
                 due = least and f == "R0" and n >= len(pat)
                 run = _independent_run(n, pat, "rinf", should_stop) if due else True
                 left = engine.stat_poly(n, (image,), "inv", should_stop)
-                want = engine.stat_poly(n, (pat,), "inv", should_stop)
-                yield (left == (want.reverse(n) if f in perms.INV_REVERSING else want)
+                yield (left == wants[n]
                        or f"inv transport fails: {f}({perms.format_perm(pat)}) at n={n}", run)
 
 
@@ -281,13 +284,14 @@ def _classify_stability(nmax: int, should_stop: Stop) -> Outcomes:
 def _catalog_against_enumeration(nmax: int, inv_nmax: int, should_stop: Stop) -> Outcomes:
     for fid, entry in formulas.CLOSED_FORMS.items():
         bound = inv_nmax if entry.kind == "q" else nmax
+        forms = [formulas.closed_form(fid, n) for n in range(bound + 1)]
         for pats in entry.pattern_sets:
             for n in range(bound + 1):
                 if entry.kind == "q":
                     want = engine.stat_poly(n, pats, "inv", should_stop)
                 else:
                     want = engine.maj_des_poly(n, pats, should_stop)
-                yield (formulas.closed_form(fid, n) == want
+                yield (forms[n] == want
                        or f"{fid} disagrees with enumeration on "
                        f"{perms.format_pattern_set(pats)} at n={n}")
 
@@ -356,19 +360,25 @@ def _foata_properties(max_len: int) -> Outcomes:
 
 def _durfee_roundtrip(max_len: int) -> Outcomes:
     for w in _words_up_to(max_len):
+        lam, d, beta, rho = words.decomposition(w)
         yield (
-            words.from_durfee(words.durfee(w), words.beta_of(w), words.rho_of(w)) == w
+            words.from_durfee(d, beta, rho) == w
             or f"decomposition round trip fails at {words.format_word(w)}",
-            sum(words.lambda_of(w)) == words.word_stats(w).inv
+            sum(lam) == words.word_stats(w).inv
             or f"diagram size != inversions at {words.format_word(w)}",
         )
+
+
+def _rows_below_shorter(w: words.Word) -> bool:
+    """Every row below the Durfee square is shorter than its side."""
+    _, d, beta, _ = words.decomposition(w)
+    return all(p < d for p in beta)
 
 
 def _image_characterizations(max_len: int, should_stop: Stop) -> Outcomes:
     # the word set the bijection starts from, the claimed image, its name
     sets = (
-        (words.in_start_one_set, lambda w: all(p < words.durfee(w) for p in words.beta_of(w)),
-         "start-with-1 image characterization"),
+        (words.in_start_one_set, _rows_below_shorter, "start-with-1 image characterization"),
         (words.in_end_zero_set, words.in_end_zero_set, "end-with-0 image fixedness"),
         (words.in_sparse_set, lambda w: not words.rho_of(w),
          "empty-right-part image characterization"),

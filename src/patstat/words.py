@@ -90,52 +90,57 @@ def word_stats(w: Word) -> WordStats:
 # Ferrers diagram and Durfee square
 
 
-def _rows(w: Word) -> list[int]:
-    """All row lengths of the diagram, top row first, zero rows included.
-
-    One row per north step; its length is the number of east steps taken
-    before that north step.
-    """
-    out = []
+def _shape(w: Word) -> tuple[list[int], int]:
+    """All row lengths of the diagram, top row first, zero rows included, and
+    the Durfee side.  One row per north step; its length is the number of
+    east steps taken before that north step."""
+    rows = []
     ones = 0
     for x in w:
         if x == 1:
             ones += 1
         else:
-            out.append(ones)
-    out.reverse()
-    return out
+            rows.append(ones)
+    rows.reverse()
+    d = 0
+    while d < len(rows) and rows[d] > d:
+        d += 1
+    return rows, d
+
+
+def decomposition(w: Word) -> tuple[Partition, int, Partition, Partition]:
+    """(lambda_of(w), durfee(w), beta_of(w), rho_of(w)) from one pass over w."""
+    rows, d = _shape(w)
+    # column j > d holds the top rows that reach it; they shorten as j grows
+    rho = []
+    reach = d
+    for j in range(d + 1, len(w) - len(rows) + 1):  # one column per east step
+        while reach and rows[reach - 1] < j:
+            reach -= 1
+        rho.append(reach)
+    return tuple(r for r in rows if r), d, tuple(rows[d:]), tuple(rho)
 
 
 def lambda_of(w: Word) -> Partition:
     """The diagram read as a partition, zero rows dropped; its size equals
     the inversion number of the word."""
-    return tuple(r for r in _rows(w) if r > 0)
+    return decomposition(w)[0]
 
 
 def durfee(w: Word) -> int:
     """Side of the largest square anchored at the diagram's northwest corner."""
-    d = 0
-    for i, r in enumerate(_rows(w), 1):
-        if r >= i:
-            d = i
-        else:
-            break
-    return d
+    return _shape(w)[1]
 
 
 def beta_of(w: Word) -> Partition:
     """Rows below the Durfee square, one per north step below it, zeros kept."""
-    return tuple(_rows(w)[durfee(w):])
+    return decomposition(w)[2]
 
 
 def rho_of(w: Word) -> Partition:
     """Columns right of the Durfee square, one per east step beyond its span,
     zeros kept."""
-    rows = _rows(w)
-    d = durfee(w)
-    n_ones = sum(w)
-    return tuple(sum(1 for r in rows[:d] if r >= j) for j in range(d + 1, n_ones + 1))
+    return decomposition(w)[3]
 
 
 def from_durfee(d: int, beta: Sequence[int], rho: Sequence[int]) -> Word:

@@ -7,9 +7,16 @@ whatever `--format` says.  The expected bytes are written out below, so a
 change to how any command renders its result shows here.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from patstat import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = [
     ('enumerate --n 3 --avoid 132 --format text', 0,
@@ -345,3 +352,13 @@ def test_command_output_is_byte_identical(argv, code, out, err, capsys):
     except SystemExit as exc:
         got = exc.code
     assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_the_package_runs_as_a_module_from_a_checkout():
+    # `PYTHONPATH=src python -m patstat ...` prints what the command prints
+    argv = "verify --suite paper --nmax 1 --format text"
+    code, out, err = next(case[1:] for case in GOLDEN if case[0] == argv)
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "patstat", *argv.split()], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -45,6 +46,15 @@ def test_contains_matches_brute_force():
         for p in perms.all_perms(n):
             for pat in patterns:
                 assert perms.contains(p, pat) == contains_brute(p, pat), (p, pat)
+
+
+@pytest.mark.parametrize("p", [(10, 30, 20), (-1, -3, -2, 0), (0.5, -2.5, 1e9, 3.25, -1e-3),
+                               (5, -5, 4, -4, 3, -3), (2**70, -(2**70), 0, 1.5)])
+def test_contains_on_values_that_are_not_one_to_n(p):
+    # the matcher's bounds for a side with no chosen entry lie beyond any value
+    for k in range(len(p) + 2):
+        for pat in perms.all_perms(k):
+            assert perms.contains(p, pat) == contains_brute(p, pat), (p, pat)
 
 
 def test_pattern_with_a_repeated_value_is_rejected():
@@ -210,6 +220,27 @@ def test_composition_acts_as_both_symmetries_in_turn():
 def test_inflate_worked_examples():
     assert perms.inflate((1, 3, 2), ((2, 1), (1,), (2, 1, 3))) == (2, 1, 6, 4, 3, 5)
     assert perms.inflate((1, 3, 2), ((), (1,), (2, 1, 3))) == (4, 2, 1, 3)
+
+
+def _inflate_brute(base, components):
+    """Concatenate the blocks, then standardize by block order: an entry's
+    rank is taken by its base value first, then its value in the block."""
+    keyed = [(b, v) for b, comp in zip(base, components) for v in comp]
+    order = sorted(keyed)
+    return tuple(order.index(e) + 1 for e in keyed)
+
+
+def test_inflate_matches_a_brute_standardization():
+    rng = random.Random(5)
+    comps = [q for k in range(4) for q in perms.all_perms(k)]
+    for n in range(6):
+        for base in perms.all_perms(n):
+            # every choice of blocks for a base of length 3 or less, else a seeded sample
+            choices = (itertools.product(comps, repeat=n) if n <= 3
+                       else ([rng.choice(comps) for _ in base] for _ in range(100)))
+            for blocks in choices:
+                assert perms.inflate(base, blocks) == _inflate_brute(base, blocks), (base, blocks)
+    assert perms.inflate((2, 1), ((), ())) == ()
 
 
 def test_inflate_component_count_checked():

@@ -20,6 +20,26 @@ def test_paper_suite_passes(name, check):
     assert r.name == name
 
 
+#: Each paper check's case count at --nmax 3, 4 and 5, in PAPER_CHECKS order,
+#: so that no check drops, merges or adds a case unnoticed.
+_CASES = {
+    3: [80, 10, 800, 640, 454, 400, 200, 60, 256, 960, 120, 12, 171, 8, 8, 18, 8, 255, 255,
+        24, 18, 26],
+    4: [272, 34, 2720, 2176, 454, 400, 200, 60, 320, 1200, 150, 12, 201, 9, 9, 21, 9, 511, 511,
+        27, 21, 32],
+    5: [1232, 154, 12320, 9856, 454, 400, 200, 60, 384, 1440, 180, 12, 231, 10, 10, 24, 10,
+        1023, 1023, 30, 24, 38],
+}
+
+
+@pytest.mark.parametrize("nmax", sorted(_CASES))
+def test_paper_checks_keep_their_cases(nmax):
+    results = verify.run_paper_suite(nmax)
+    assert [r.name for r in results] == [name for name, _ in verify.PAPER_CHECKS]
+    assert [r.cases for r in results] == _CASES[nmax]
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+
 def test_conjecture_suite_passes():
     results = verify.run_conjecture_suite(nmax=7)
     failed = [r.line() for r in results if not r.passed]

@@ -50,6 +50,31 @@ def test_durfee_roundtrip_exhaustive():
             assert words.from_durfee(d, beta, rho) == w
 
 
+def _boxes(w):
+    """The diagram box by box: the box in column c from the left and row t
+    from the top is there iff the (c+1)-th 1 of w comes before its (t+1)-th
+    0 from the end, so the boxes are the inversions of w."""
+    ones = [i for i, x in enumerate(w) if x == 1]
+    zeros = [i for i, x in enumerate(w) if x == 0][::-1]
+    return {(c, t) for c, i in enumerate(ones) for t, j in enumerate(zeros) if i < j}, ones, zeros
+
+
+def test_decomposition_matches_a_box_count():
+    for n in range(11):
+        for w in words_of_length(n):
+            boxes, ones, zeros = _boxes(w)
+            rows = [sum((c, t) in boxes for c in range(len(ones))) for t in range(len(zeros))]
+            cols = [sum((c, t) in boxes for t in range(len(zeros))) for c in range(len(ones))]
+            d = max(s for s in range(min(len(ones), len(zeros)) + 1)
+                    if all((c, t) in boxes for c in range(s) for t in range(s)))
+            assert words.durfee(w) == d, w
+            assert words.lambda_of(w) == tuple(r for r in rows if r), w
+            assert words.beta_of(w) == tuple(rows[d:]), w
+            assert words.rho_of(w) == tuple(cols[d:]), w
+            assert words.decomposition(w) == (
+                words.lambda_of(w), d, words.beta_of(w), words.rho_of(w)), w
+
+
 def test_from_durfee_validation():
     with pytest.raises(ValueError):
         words.from_durfee(-1, (), ())
