@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -156,27 +157,29 @@ def _cmd_enumerate(args) -> int:
     out = []
     emitted = 0
     start = time.monotonic()
-    stream_text = args.format == "text"
+    stream = args.format != "json"  # text and csv print each avoider as it is found
+    emit = print if stream else out.append
     try:
-        for p in engine.enumerate_avoiders(args.n, patterns, should_stop=stop):
-            if stream_text:
-                print(format_perm(p))
-            else:
-                out.append(format_perm(p))
+        found = engine.enumerate_avoiders(args.n, patterns, should_stop=stop)
+        # the first step checks the arguments, so a refused one prints nothing
+        first = list(itertools.islice(found, 1))
+        if args.format == "csv":
+            print("perm")
+        for p in itertools.chain(first, found):
+            emit(format_perm(p))
             emitted += 1
             if args.progress and emitted % 100000 == 0:
                 rate = emitted / (time.monotonic() - start + 1e-9)
                 print(f"... {emitted} avoiders ({rate:.0f}/s)", file=sys.stderr)
     except SearchCancelled:
-        if not stream_text:
+        if not stream:
             raise
-        # the text already printed stays; say where it stops
+        # the rows already printed stay; say where they stop
         print(f"patstat: time limit exceeded, output incomplete after {emitted} avoiders",
               file=sys.stderr)
         return 1
-    _show(args.format, lambda: [],  # the text went out as it was found
-          lambda: {"n": args.n, "patterns": list(map(format_perm, patterns)), "avoiders": out},
-          lambda: ["perm"] + out)
+    _show(args.format, lambda: [],  # text and csv went out as they were found
+          lambda: {"n": args.n, "patterns": list(map(format_perm, patterns)), "avoiders": out})
     return 0
 
 
@@ -246,19 +249,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bijection(args) -> int:
     bij = words.BIJECTIONS[args.name]
-    partition = args.name.endswith("-partition")
-    # the text form of the image: a word, a partition or a permutation
-    parse, fmt = ((words.parse_word, words.format_word) if bij.words
-                  else (words.parse_partition, words.format_partition) if partition
-                  else (parse_perm, format_perm))
+    parse, fmt = bij.text
     if not args.inverse:
         print(fmt(bij.map(parse_perm(args.input))))
-    elif partition:
-        if args.n is None:
-            raise ValueError("inverse partition maps need --n")
-        print(format_perm(bij.inverse(parse(args.input), args.n)))
+    elif bij.needs_n and args.n is None:
+        raise ValueError("inverse partition maps need --n")
     else:
-        print(format_perm(bij.inverse(parse(args.input))))
+        print(format_perm(bij.back(parse(args.input), args.n)))
     return 0
 
 

@@ -205,11 +205,13 @@ def _match_plan(pattern: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 
 def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some subsequence of p is order isomorphic to pattern.
+    """True iff some subsequence of p is order isomorphic to pattern; the
+    values of p must be distinct.
 
     Depth-first subsequence matching from one explicit stack of chosen
     positions; the entries chosen so far bound the value that can match the
-    next pattern entry, so each candidate costs two comparisons.  Every
+    next pattern entry, inclusively, so each candidate costs two comparisons
+    and an unbounded side admits -inf or inf.  Every
     permutation contains the empty pattern; a pattern with a repeated value
     raises ValueError.
 
@@ -233,7 +235,7 @@ def contains(p: Sequence[int], pattern: Sequence[int]) -> bool:
         low = p[at[lo]] if lo >= 0 else floor
         high = p[at[hi]] if hi >= 0 else ceiling
         last = n - k + j
-        while i <= last and not low < p[i] <= high:
+        while i <= last and not low <= p[i] <= high:
             i += 1
         if i > last:
             # nothing left matches pattern[j]: move the match of pattern[j - 1] on

@@ -315,18 +315,14 @@ def _product_form_bridge(nmax: int) -> Outcomes:
         yield left.specialize_t1() == right or f"product forms disagree at n={n}"
 
 
-def _word_bijections() -> list[tuple[str, words.Bijection]]:
-    """The entries of words.BIJECTIONS that map onto 0/1 words."""
-    return [(name, b) for name, b in words.BIJECTIONS.items() if b.words]
-
-
 def _series_coefficients(order: int, should_stop: Stop) -> Outcomes:
-    for name, b in _word_bijections():
-        sid = f"gf-{name}"
-        s = formulas.series_expand(sid, order, should_stop)
-        for n in range(order + 1):
-            yield (s[n] == engine.maj_des_poly(n, b.patterns, should_stop)
-                   or f"{sid} coefficient of x^{n} disagrees")
+    for name, b in words.BIJECTIONS.items():
+        if b.words:
+            sid = f"gf-{name}"
+            s = formulas.series_expand(sid, order, should_stop)
+            for n in range(order + 1):
+                yield (s[n] == engine.maj_des_poly(n, b.patterns, should_stop)
+                       or f"{sid} coefficient of x^{n} disagrees")
 
 
 def _fibonacci_bridge(nmax: int) -> Outcomes:
@@ -369,95 +365,59 @@ def _durfee_roundtrip(max_len: int) -> Outcomes:
         )
 
 
-def _rows_below_shorter(w: words.Word) -> bool:
-    """Every row below the Durfee square is shorter than its side."""
-    _, d, beta, _ = words.decomposition(w)
-    return all(p < d for p in beta)
-
-
 def _image_characterizations(max_len: int, should_stop: Stop) -> Outcomes:
-    # the word set the bijection starts from, the claimed image, its name
-    sets = (
-        (words.in_start_one_set, _rows_below_shorter, "start-with-1 image characterization"),
-        (words.in_end_zero_set, words.in_end_zero_set, "end-with-0 image fixedness"),
-        (words.in_sparse_set, lambda w: not words.rho_of(w),
-         "empty-right-part image characterization"),
-    )
-    images: list[dict[int, set]] = [{} for _ in sets]
+    # the word set each word bijection lands on, and its claimed image
+    claims = [(name, b.words, b.foata) for name, b in words.BIJECTIONS.items() if b.foata]
+    images: list[dict[int, set]] = [{} for _ in claims]
     for v in _polled(_words_up_to(max_len), should_stop):
-        for (member, _, _), by_len in zip(sets, images):
+        for (_, member, _), by_len in zip(claims, images):
             if member(v):
                 by_len.setdefault(len(v), set()).add(words.foata(v))
     for n in range(max_len + 1):
         all_n = set(itertools.product((0, 1), repeat=n))
-        for (_, image, label), by_len in zip(sets, images):
+        for (name, _, image), by_len in zip(claims, images):
             yield (by_len.get(n, set()) == {w for w in all_n if image(w)}
-                   or f"{label} fails at length {n}")
+                   or f"run rearrangement of the {name} words misses its image at length {n}")
 
 
 def _word_transport(nmax: int, should_stop: Stop) -> Outcomes:
     """Summing q^maj t^des over each word set must reproduce the avoidance
     polynomial carried over by the descent-preserving bijections."""
     for n in range(nmax + 1):
-        for name, b in _word_bijections():
-            acc: dict[tuple[int, int], int] = {}
-            for v in itertools.product((0, 1), repeat=n):
-                if b.words(v):
-                    s = words.word_stats(v)
-                    acc[(s.maj, s.des)] = acc.get((s.maj, s.des), 0) + 1
-            yield (QTPoly.from_counts(acc) == engine.maj_des_poly(n, b.patterns, should_stop)
-                   or f"word sum != avoidance polynomial ({name}, n={n})")
+        for name, b in words.BIJECTIONS.items():
+            if b.words:
+                acc: dict[tuple[int, int], int] = {}
+                for v in itertools.product((0, 1), repeat=n):
+                    if b.words(v):
+                        s = words.word_stats(v)
+                        acc[(s.maj, s.des)] = acc.get((s.maj, s.des), 0) + 1
+                yield (QTPoly.from_counts(acc) == engine.maj_des_poly(n, b.patterns, should_stop)
+                       or f"word sum != avoidance polynomial ({name}, n={n})")
+
+
+def _image_set(b: words.Bijection, n: int, should_stop: Stop) -> list:
+    """What b maps Av_n(b.patterns) onto, sorted."""
+    if b.words:
+        return [w for w in itertools.product((0, 1), repeat=n) if b.words(w)]
+    if b.onto:
+        return list(engine.enumerate_avoiders(n, b.onto, should_stop))
+    return sorted(lam for size in range(max(n, 1))
+                  for lam in itertools.combinations(range(n - 1, 0, -1), size))
 
 
 def _bijection_suite(nmax: int, partition_nmax: int, should_stop: Stop) -> Outcomes:
-    for n in range(nmax + 1):
-        for _, (pats, fwd, back, member) in _word_bijections():
-            avoiders = list(engine.enumerate_avoiders(n, pats, should_stop))
-            images = [fwd(p) for p in avoiders]
-            target = [w for w in itertools.product((0, 1), repeat=n) if member(w)]
-            if sorted(images) != sorted(target):
-                yield f"word bijection not onto for {pats} at n={n}"
-            elif any(words.word_stats(w).descents != perms.descent_set(p)
-                     for p, w in zip(avoiders, images)):
-                yield f"descents not preserved for {pats} at n={n}"
+    for name, b in words.BIJECTIONS.items():
+        for n in range((partition_nmax if b.needs_n else nmax) + 1):
+            avoiders = list(engine.enumerate_avoiders(n, b.patterns, should_stop))
+            images = [b.map(p) for p in _polled(avoiders, should_stop)]
+            if sorted(images) != _image_set(b, n, should_stop):
+                yield f"{name} is not onto its image at n={n}"
+            elif not all(map(b.carries, avoiders, images)):
+                yield f"{name} does not keep its statistics at n={n}"
             else:
-                yield (all(back(w) == p for p, w in zip(avoiders, images))
-                       or f"inverse fails for {pats} at n={n}")
-        avoiders = list(engine.enumerate_avoiders(n, ((1, 3, 2),), should_stop))
-        images = [words.map_132_to_231(p) for p in _polled(avoiders, should_stop)]
-        if sorted(images) != list(engine.enumerate_avoiders(n, ((2, 3, 1),), should_stop)):
-            yield f"descent transport map not onto at n={n}"
-        elif any(perms.descent_set(p) != perms.descent_set(t)
-                 for p, t in zip(avoiders, images)):
-            yield f"descent transport map moves descents at n={n}"
-        else:
-            yield (all(words.map_231_to_132(t) == p
-                       for p, t in _polled(zip(avoiders, images), should_stop))
-                   or f"descent transport inverse fails at n={n}")
-    for n in range(partition_nmax + 1):
-        # the statistic that each partition's size carries
-        for name, stat in (("132-213-partition", perms.maj), ("132-231-partition", perms.inv)):
-            pats, fwd, back, _ = words.BIJECTIONS[name]
-            avoiders = list(engine.enumerate_avoiders(n, pats, should_stop))
-            images = [fwd(p) for p in avoiders]
-            ground = range(n - 1, 0, -1)
-            target = [
-                lam
-                for size in range(len(ground) + 1)
-                for lam in itertools.combinations(ground, size)
-            ]
-            if sorted(images) != sorted(target):
-                yield f"partition bijection not onto for {pats} at n={n}"
-            elif any(back(lam, n) != p for p, lam in zip(avoiders, images)):
-                yield f"partition inverse fails for {pats} at n={n}"
-            else:
-                yield (
-                    all(sum(lam) == stat(p) for p, lam in zip(avoiders, images))
-                    or f"partition size misses {stat.__name__} for {pats} at n={n}",
-                    stat is not perms.maj
-                    or all(len(lam) == perms.des(p) for p, lam in zip(avoiders, images))
-                    or f"part count misses des for {pats} at n={n}",
-                )
+                yield (all(b.back(image, n) == p
+                           for p, image in _polled(zip(avoiders, images), should_stop))
+                       or f"{name} inverse fails at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +465,7 @@ def _inflation_maj(n_max: int, should_stop: Stop, max_inflation_length: int = 6)
     for total in range(1, max_inflation_length + 1):
         for m in range(total):
             k = total - 1 - m
-            comps = (tuple(range(1, m + 1)), (1,), tuple(range(k, 0, -1)))
+            comps = (perms.increasing(m), (1,), perms.decreasing(k))
             yield from _maj_polys_agree(
                 n_max, perms.inflate((1, 3, 2), comps), perms.inflate((2, 3, 1), comps),
                 should_stop, f" (m={m}, k={k})")

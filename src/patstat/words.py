@@ -18,9 +18,13 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .perms import (
     Perm,
     avoids_all,
+    des,
     descent_set,
     format_perm,
+    inv,
     left_right_maxima,
+    maj,
+    parse_perm,
     right_left_minima,
 )
 
@@ -82,7 +86,7 @@ def word_stats(w: Word) -> WordStats:
             ones += 1
         else:
             inv += ones
-    descents = frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    descents = descent_set(w)
     return WordStats(inv, sum(descents), len(descents), descents)
 
 
@@ -252,6 +256,12 @@ def in_sparse_set(w: Word) -> bool:
     return all(not (w[i] == 1 and w[i + 1] == 1) for i in range(len(w) - 1))
 
 
+def _rows_below_shorter(w: Word) -> bool:
+    """Every row below the Durfee square is shorter than its side."""
+    _, d, beta, _ = decomposition(w)
+    return all(p < d for p in beta)
+
+
 # ---------------------------------------------------------------------------
 # descent-preserving bijections onto word sets
 
@@ -410,7 +420,7 @@ def _map_132(p: Perm) -> Perm:
 
 def map_231_to_132(p: Perm) -> Perm:
     """Inverse of map_132_to_231."""
-    return _map_231(_avoiding(p, ((2, 3, 1),)))
+    return _map_231(_avoiding(p, BIJECTIONS["132-to-231"].onto))
 
 
 def _map_231(p: Perm) -> Perm:
@@ -430,29 +440,58 @@ def _map_231(p: Perm) -> Perm:
 # the bijections by name
 
 
+def _same_descents(p: Perm, image: Sequence[int]) -> bool:
+    """The image, a word or a permutation, descends where p does."""
+    return descent_set(image) == descent_set(p)
+
+
 class Bijection(NamedTuple):
-    """An explicit bijection from Av_n(patterns): map and inverse, and for a
-    map onto 0/1 words the membership test of its image (None otherwise).
-    A partition inverse takes the length n as its second argument."""
+    """An explicit bijection from Av_n(patterns) and its inverse.  It lands on
+    the 0/1 words that pass `words`, on the avoiders of `onto`, or else on
+    the distinct-part partitions below n, whose inverse also takes n.
+    carries(p, image) tells whether the image keeps what it should of p, and
+    foata(w), for a word map, whether w is in the run rearrangement's image
+    of its word set."""
 
     patterns: tuple[Perm, ...]
     map: Callable
     inverse: Callable
+    carries: Callable[[Perm, Sequence[int]], bool]
     words: Optional[Callable[[Word], bool]] = None
+    foata: Optional[Callable[[Word], bool]] = None
+    onto: Optional[tuple[Perm, ...]] = None
+
+    @property
+    def needs_n(self) -> bool:
+        return self.words is None and self.onto is None
+
+    @property
+    def text(self) -> tuple[Callable[[str], Sequence[int]], Callable[[Sequence[int]], str]]:
+        """How an image is parsed and printed."""
+        return ((parse_word, format_word) if self.words else (parse_perm, format_perm) if self.onto
+                else (parse_partition, format_partition))
+
+    def back(self, image: Sequence[int], n: int) -> Perm:
+        """The preimage of the image of a permutation of length n."""
+        return self.inverse(image, n) if self.needs_n else self.inverse(image)
 
 
 #: The explicit bijections, keyed by their command line names.  Each word
 #: bijection's image is counted by the series "gf-<name>".
 BIJECTIONS: dict[str, Bijection] = {
     "231-321": Bijection(((2, 3, 1), (3, 2, 1)), to_word_231_321, from_word_231_321,
-                         in_start_one_set),
+                         _same_descents, words=in_start_one_set, foata=_rows_below_shorter),
     "312-321": Bijection(((3, 1, 2), (3, 2, 1)), to_word_312_321, from_word_312_321,
-                         in_end_zero_set),
+                         _same_descents, words=in_end_zero_set, foata=in_end_zero_set),
     "231-312-321": Bijection(((2, 3, 1), (3, 1, 2), (3, 2, 1)), to_word_231_312_321,
-                             from_word_231_312_321, in_sparse_set),
+                             from_word_231_312_321, _same_descents, words=in_sparse_set,
+                             foata=lambda w: not rho_of(w)),
     "132-213-partition": Bijection(((1, 3, 2), (2, 1, 3)), descent_partition_132_213,
-                                   from_descent_partition_132_213),
+                                   from_descent_partition_132_213,
+                                   lambda p, lam: sum(lam) == maj(p) and len(lam) == des(p)),
     "132-231-partition": Bijection(((1, 3, 2), (2, 3, 1)), prefix_partition_132_231,
-                                   from_prefix_partition_132_231),
-    "132-to-231": Bijection(((1, 3, 2),), map_132_to_231, map_231_to_132),
+                                   from_prefix_partition_132_231,
+                                   lambda p, lam: sum(lam) == inv(p)),
+    "132-to-231": Bijection(((1, 3, 2),), map_132_to_231, map_231_to_132, _same_descents,
+                            onto=((2, 3, 1),)),
 }

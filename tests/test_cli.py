@@ -332,6 +332,14 @@ def test_limit_seconds_keeps_streamed_text(capsys):
     )
     first = itertools.islice(engine.enumerate_avoiders(14, [(1, 2, 3)]), printed)
     assert lines == [format_perm(p) for p in first]
+    # csv streams its rows after the header in the same way
+    lines, printed = _streamed_until_limit(
+        ["enumerate", "--n", "11", "--avoid", "", "--limit-seconds", "0.02", "--format", "csv"],
+        capsys,
+    )
+    first = itertools.islice(itertools.permutations(range(1, 12)), printed)
+    assert lines == ["perm"] + [format_perm(p) for p in first]
+    assert printed > 0
 
 
 def test_limit_seconds_aborts_classify(capsys):

@@ -1,7 +1,8 @@
 """Every imported name is read somewhere in its module, the package imports
 only at the top of a module, no module but the engine names the engine's
-profile cache, and no function of the package drops keyword arguments it
-does not know into a `**_` catch-all.
+profile cache, no module but `words` names an explicit bijection, and no
+function of the package drops keyword arguments it does not know into a
+`**_` catch-all.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -11,6 +12,8 @@ exempt.
 
 import ast
 from pathlib import Path
+
+from patstat import words
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "patstat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -105,3 +108,34 @@ def test_scan_finds_an_import_in_a_function():
     tree = ast.parse("import os\ndef f():\n    import sys\n    return sys\n"
                      "class C:\n    def g(self):\n        from a import b\n")
     assert imports_in_functions(tree) == ["f line 3", "g line 7"]
+
+
+def bijection_names(tree: ast.Module, keys) -> list[str]:
+    """The string constants that spell one of keys, and the calls of
+    `.endswith("-partition")`: both decide by name what a bijection is."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys:
+            found.append(f"line {node.lineno}: {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "endswith"
+              and any(isinstance(arg, ast.Constant) and arg.value == "-partition"
+                      for arg in node.args)):
+            found.append(f"line {node.lineno}: endswith('-partition')")
+    return found
+
+
+def test_only_words_names_a_bijection():
+    # the rest of the package reads what a bijection lands on and keeps from
+    # its record in words.BIJECTIONS
+    found = [f"{path.name} {hit}" for path in SOURCES if path.parent.name == "patstat"
+             and path.name != "words.py"
+             for hit in bijection_names(ast.parse(path.read_text(), str(path)), words.BIJECTIONS)]
+    assert found == []
+
+
+def test_scan_finds_a_bijection_name():
+    tree = ast.parse('x = "231-321"\ny = "gf-231-321"\nname.endswith("-partition")\n'
+                     'name.endswith("-word")\n')
+    assert bijection_names(tree, {"231-321"}) == ["line 1: '231-321'",
+                                                  "line 3: endswith('-partition')"]

@@ -49,9 +49,12 @@ def test_contains_matches_brute_force():
 
 
 @pytest.mark.parametrize("p", [(10, 30, 20), (-1, -3, -2, 0), (0.5, -2.5, 1e9, 3.25, -1e-3),
-                               (5, -5, 4, -4, 3, -3), (2**70, -(2**70), 0, 1.5)])
+                               (5, -5, 4, -4, 3, -3), (2**70, -(2**70), 0, 1.5),
+                               (-math.inf, 7, math.inf, 2), (7, -math.inf), (-math.inf, 7),
+                               (math.inf, 1, -math.inf, 0.5)])
 def test_contains_on_values_that_are_not_one_to_n(p):
-    # the matcher's bounds for a side with no chosen entry lie beyond any value
+    # the matcher's bounds for a side with no chosen entry admit every value,
+    # -inf and +inf alike
     for k in range(len(p) + 2):
         for pat in perms.all_perms(k):
             assert perms.contains(p, pat) == contains_brute(p, pat), (p, pat)

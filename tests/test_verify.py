@@ -118,16 +118,17 @@ def test_the_complement_check_runs_the_complement(monkeypatch):
     assert r.failures[0] == "profile of 321 moved from 123 != its own run at n=3"
 
 
-@pytest.mark.parametrize("name, fn, length, total", [
+@pytest.mark.parametrize("name, key, field, length, total", [
     # the descent transport case maps all 1430 members of Av_8(132) at once
-    ("bijection-suite", "map_132_to_231", 8, math.comb(16, 8) // 9),
+    ("bijection-suite", "132-to-231", "map", 8, math.comb(16, 8) // 9),
     # the first case follows one pass over all 8191 words of length <= 12
-    ("image-characterizations", "in_start_one_set", 12, 2**12),
+    ("image-characterizations", "231-321", "words", 12, 2**12),
 ], ids=["bijection-suite", "image-characterizations"])
-def test_a_long_pass_outside_the_engine_stops_early(monkeypatch, name, fn, length, total):
+def test_a_long_pass_outside_the_engine_stops_early(monkeypatch, name, key, field, length, total):
     # a stop that fires at the first call on an input of the given length
     # must end the pass over those inputs long before it is through
-    inner = getattr(words, fn)
+    record = words.BIJECTIONS[key]
+    inner = getattr(record, field)
     calls = 0
 
     def counted(x):
@@ -135,11 +136,39 @@ def test_a_long_pass_outside_the_engine_stops_early(monkeypatch, name, fn, lengt
         calls += len(x) == length
         return inner(x)
 
-    monkeypatch.setattr(words, fn, counted)
+    monkeypatch.setitem(words.BIJECTIONS, key, record._replace(**{field: counted}))
     check = dict(verify.PAPER_CHECKS)[name]
     with pytest.raises(engine.SearchCancelled):
         check(9, should_stop=lambda: calls > 0)
     assert 0 < calls <= 300 < total
+
+
+def _reversed(f):
+    return lambda *args: f(*args)[::-1]
+
+
+@pytest.mark.parametrize("key", ["312-321", "132-231-partition", "132-to-231"])
+@pytest.mark.parametrize("field, broken", [
+    ("map", _reversed),
+    ("carries", lambda f: lambda p, image: not f(p, image)),
+    ("inverse", _reversed),
+], ids=["map", "carries", "inverse"])
+def test_the_bijection_suite_checks_every_part_of_each_record(monkeypatch, key, field, broken):
+    record = words.BIJECTIONS[key]
+    monkeypatch.setitem(words.BIJECTIONS, key,
+                        record._replace(**{field: broken(getattr(record, field))}))
+    r = dict(verify.PAPER_CHECKS)["bijection-suite"](4)
+    assert not r.passed
+    assert r.failures and all(f.startswith(f"{key} ") for f in r.failures), r.failures
+
+
+def test_image_characterizations_check_each_claimed_image(monkeypatch):
+    record = words.BIJECTIONS["312-321"]
+    monkeypatch.setitem(words.BIJECTIONS, "312-321",
+                        record._replace(foata=words.in_start_one_set))
+    r = dict(verify.PAPER_CHECKS)["image-characterizations"](2)
+    assert not r.passed
+    assert r.failures[0] == "run rearrangement of the 312-321 words misses its image at length 1"
 
 
 def test_check_result_lines():
