@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from operator import add
+from typing import Callable, Iterable, Optional, Union
 
 from .engine import SearchCancelled
 from .perms import INV_PRESERVING, Perm, orbit
-from .polynomials import QPoly, QTPoly, TruncatedSeries, q_int
+from .polynomials import QPoly, QTPoly, TruncatedSeries, _check_all, q_int
 
 
 def catalan(n: int) -> int:
@@ -42,9 +43,6 @@ def fibonacci(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # q-Catalan recursions
-
-_Q = QPoly.monomial(1)
-
 
 def ct_poly(n: int) -> QPoly:
     """Reversed Carlitz-Riordan q-Catalan polynomials.
@@ -141,22 +139,23 @@ def parity_profile(p: QPoly) -> ParityProfile:
 PolyLike = Union[QPoly, QTPoly]
 
 
+def _q_sum(terms: Iterable[tuple[int, int]]) -> QPoly:
+    """The sum of c q^e over the (e, c) pairs, built once."""
+    terms = list(terms)
+    out = [0] * (max((e for e, _ in terms), default=-1) + 1)
+    for e, c in terms:
+        out[e] += c
+    return QPoly._from_list(out)
+
+
 def _inv_231_321(n: int) -> QPoly:
-    return (QPoly.one() + _Q) ** (n - 1)
+    return QPoly((1, 1)) ** (n - 1)  # (1 + q)^(n - 1)
 
 
 def _inv_132_231(n: int) -> QPoly:
     out = QPoly.one()
     for i in range(1, n):
         out = out * (QPoly.one() + QPoly.monomial(i))
-    return out
-
-
-def _inv_132_321(n: int) -> QPoly:
-    out = QPoly.one()
-    for k in range(1, n):
-        for j in range(1, n - k + 1):
-            out = out + QPoly.monomial(j * k)
     return out
 
 
@@ -177,73 +176,6 @@ def _maj_132_213(n: int) -> QTPoly:
     return out
 
 
-def _maj_132_231(n: int) -> QTPoly:
-    acc = QTPoly.zero()
-    for k in range(n):
-        acc = acc + QTPoly.monomial(math.comb(k + 1, 2), k, math.comb(n - 1, k))
-    return acc
-
-
-def _maj_132_321(n: int) -> QTPoly:
-    tail = QPoly.zero()
-    for i in range(1, n):
-        tail = tail + q_int(i)
-    return QTPoly.one() + QTPoly.monomial(1, 1) * QTPoly.from_qpoly(tail)
-
-
-def _maj_213_321(n: int) -> QTPoly:
-    acc = QTPoly.one()
-    for k in range(1, n):
-        acc = acc + QTPoly.monomial(k, 1, k)
-    return acc
-
-
-def _inv_132_213_321(n: int) -> QPoly:
-    acc = QPoly.zero()
-    for k in range(1, n + 1):
-        acc = acc + QPoly.monomial(k * (n - k))
-    return acc
-
-
-def _inv_132_231_312(n: int) -> QPoly:
-    acc = QPoly.zero()
-    for k in range(1, n + 1):
-        acc = acc + QPoly.monomial(math.comb(k, 2))
-    return acc
-
-
-def _inv_132_231_321(n: int) -> QPoly:
-    return q_int(n)
-
-
-def _inv_231_312_321(n: int) -> QPoly:
-    acc = QPoly.zero()
-    for k in range(n + 1):
-        c = math.comb(n - k, k)
-        if c:
-            acc = acc + QPoly.monomial(k, c)
-    return acc
-
-
-def _maj_triple_a(n: int) -> QTPoly:
-    return QTPoly.one() + QTPoly.monomial(1, 1) * QTPoly.from_qpoly(q_int(n - 1))
-
-
-def _maj_triple_b(n: int) -> QTPoly:
-    acc = QTPoly.one()
-    for k in range(2, n + 1):
-        acc = acc + QTPoly.monomial(math.comb(k, 2), k - 1)
-    return acc
-
-
-def _maj_213_312_321(n: int) -> QTPoly:
-    return QTPoly.one() + QTPoly.monomial(n - 1, 1, n - 1)
-
-
-def _maj_132_231_321(n: int) -> QTPoly:
-    return QTPoly.one() + QTPoly.monomial(1, 1, n - 1)
-
-
 @dataclass(frozen=True)
 class FormulaEntry:
     """One catalog entry: builder, result kind, and every pattern set whose
@@ -254,70 +186,69 @@ class FormulaEntry:
     pattern_sets: tuple[tuple[Perm, ...], ...]
 
 
-def _psets(*sets: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], ...]:
-    return tuple(tuple(sorted(s)) for s in sets)
+def _inv_row(build: Callable[[int], QPoly], *pats: Perm) -> FormulaEntry:
+    # the inv-preserving symmetries keep the inv polynomial, so an inv entry
+    # matches the whole orbit under them of the set its id names
+    return FormulaEntry(build, "q", orbit(pats, INV_PRESERVING))
 
 
-# The inv-preserving symmetries keep the inv polynomial, so an inv entry
-# matches the whole orbit under them of the set its id names.
+def _maj_row(build: Callable[[int], QTPoly], *sets: tuple[Perm, ...]) -> FormulaEntry:
+    return FormulaEntry(build, "qt", tuple(tuple(sorted(s)) for s in sets))
+
+
+# Each sum form is one expression of its terms: (exponent, coefficient) pairs
+# in q, or (q_exp, t_exp, coeff) triples that QTPoly sums in one pass.
 CLOSED_FORMS: dict[str, FormulaEntry] = {
-    "inv-231-321": FormulaEntry(_inv_231_321, "q", orbit(((2, 3, 1), (3, 2, 1)), INV_PRESERVING)),
-    "inv-132-231": FormulaEntry(_inv_132_231, "q", orbit(((1, 3, 2), (2, 3, 1)), INV_PRESERVING)),
-    "inv-132-321": FormulaEntry(_inv_132_321, "q", orbit(((1, 3, 2), (3, 2, 1)), INV_PRESERVING)),
-    "inv-132-213": FormulaEntry(_inv_132_213, "q", orbit(((1, 3, 2), (2, 1, 3)), INV_PRESERVING)),
-    "maj-132-213": FormulaEntry(
-        _maj_132_213, "qt",
-        _psets(
-            ((1, 3, 2), (2, 1, 3)),
-            ((1, 3, 2), (3, 1, 2)),
-            ((2, 1, 3), (2, 3, 1)),
-        ),
-    ),
-    "maj-132-231": FormulaEntry(
-        _maj_132_231, "qt",
-        _psets(((1, 3, 2), (2, 3, 1))),
-    ),
-    "maj-132-321": FormulaEntry(
-        _maj_132_321, "qt",
-        _psets(((1, 3, 2), (3, 2, 1))),
-    ),
-    "maj-213-321": FormulaEntry(
-        _maj_213_321, "qt",
-        _psets(((2, 1, 3), (3, 2, 1))),
-    ),
-    "inv-132-213-321": FormulaEntry(
-        _inv_132_213_321, "q", orbit(((1, 3, 2), (2, 1, 3), (3, 2, 1)), INV_PRESERVING)),
-    "inv-132-231-312": FormulaEntry(
-        _inv_132_231_312, "q", orbit(((1, 3, 2), (2, 3, 1), (3, 1, 2)), INV_PRESERVING)),
-    "inv-132-231-321": FormulaEntry(
-        _inv_132_231_321, "q", orbit(((1, 3, 2), (2, 3, 1), (3, 2, 1)), INV_PRESERVING)),
-    "inv-231-312-321": FormulaEntry(
-        _inv_231_312_321, "q", orbit(((2, 3, 1), (3, 1, 2), (3, 2, 1)), INV_PRESERVING)),
-    "maj-triple-A": FormulaEntry(
-        _maj_triple_a, "qt",
-        _psets(
-            ((1, 3, 2), (2, 1, 3), (3, 2, 1)),
-            ((1, 3, 2), (3, 1, 2), (3, 2, 1)),
-            ((2, 1, 3), (2, 3, 1), (3, 2, 1)),
-        ),
-    ),
-    "maj-triple-B": FormulaEntry(
-        _maj_triple_b, "qt",
-        _psets(((1, 3, 2), (2, 1, 3), (2, 3, 1)), ((1, 3, 2), (2, 3, 1), (3, 1, 2))),
-    ),
-    "maj-213-312-321": FormulaEntry(
-        _maj_213_312_321, "qt",
-        _psets(((2, 1, 3), (3, 1, 2), (3, 2, 1))),
-    ),
-    "maj-132-231-321": FormulaEntry(
-        _maj_132_231_321, "qt",
-        _psets(((1, 3, 2), (2, 3, 1), (3, 2, 1))),
-    ),
+    "inv-231-321": _inv_row(_inv_231_321, (2, 3, 1), (3, 2, 1)),
+    "inv-132-231": _inv_row(_inv_132_231, (1, 3, 2), (2, 3, 1)),
+    "inv-132-321": _inv_row(
+        lambda n: _q_sum([(0, 1)] + [(j * k, 1) for k in range(1, n) for j in range(1, n - k + 1)]),
+        (1, 3, 2), (3, 2, 1)),
+    "inv-132-213": _inv_row(_inv_132_213, (1, 3, 2), (2, 1, 3)),
+    "maj-132-213": _maj_row(
+        _maj_132_213, ((1, 3, 2), (2, 1, 3)), ((1, 3, 2), (3, 1, 2)), ((2, 1, 3), (2, 3, 1))),
+    "maj-132-231": _maj_row(
+        lambda n: QTPoly([(math.comb(k + 1, 2), k, math.comb(n - 1, k)) for k in range(n)]),
+        ((1, 3, 2), (2, 3, 1))),
+    # the sum of [i]_q over i < n has n - 1 - e at q^e
+    "maj-132-321": _maj_row(
+        lambda n: QTPoly([(0, 0, 1)] + [(e + 1, 1, n - 1 - e) for e in range(n - 1)]),
+        ((1, 3, 2), (3, 2, 1))),
+    "maj-213-321": _maj_row(
+        lambda n: QTPoly([(0, 0, 1)] + [(k, 1, k) for k in range(1, n)]), ((2, 1, 3), (3, 2, 1))),
+    "inv-132-213-321": _inv_row(
+        lambda n: _q_sum((k * (n - k), 1) for k in range(1, n + 1)),
+        (1, 3, 2), (2, 1, 3), (3, 2, 1)),
+    "inv-132-231-312": _inv_row(
+        lambda n: _q_sum((math.comb(k, 2), 1) for k in range(1, n + 1)),
+        (1, 3, 2), (2, 3, 1), (3, 1, 2)),
+    "inv-132-231-321": _inv_row(q_int, (1, 3, 2), (2, 3, 1), (3, 2, 1)),
+    "inv-231-312-321": _inv_row(
+        lambda n: _q_sum((k, math.comb(n - k, k)) for k in range(n + 1)),
+        (2, 3, 1), (3, 1, 2), (3, 2, 1)),
+    "maj-triple-A": _maj_row(
+        lambda n: QTPoly([(0, 0, 1)] + [(e, 1, 1) for e in range(1, n)]),
+        ((1, 3, 2), (2, 1, 3), (3, 2, 1)),
+        ((1, 3, 2), (3, 1, 2), (3, 2, 1)),
+        ((2, 1, 3), (2, 3, 1), (3, 2, 1))),
+    "maj-triple-B": _maj_row(
+        lambda n: QTPoly([(0, 0, 1)] + [(math.comb(k, 2), k - 1, 1) for k in range(2, n + 1)]),
+        ((1, 3, 2), (2, 1, 3), (2, 3, 1)), ((1, 3, 2), (2, 3, 1), (3, 1, 2))),
+    "maj-213-312-321": _maj_row(
+        lambda n: QTPoly([(0, 0, 1), (n - 1, 1, n - 1)]), ((2, 1, 3), (3, 1, 2), (3, 2, 1))),
+    "maj-132-231-321": _maj_row(
+        lambda n: QTPoly([(0, 0, 1), (1, 1, n - 1)]), ((1, 3, 2), (2, 3, 1), (3, 2, 1))),
 }
 
 
 def closed_form(formula_id: str, n: int) -> PolyLike:
-    """Evaluate one catalog formula; every formula returns 1 at n = 0."""
+    """Evaluate one catalog formula; every formula returns 1 at n = 0.
+
+    >>> print(closed_form("inv-231-321", 3))
+    1 + 2*q + q^2
+    >>> print(closed_form("maj-132-231", 3))
+    1 + 2*q*t + q^3*t^2
+    """
     try:
         entry = CLOSED_FORMS[formula_id]
     except KeyError:
@@ -349,27 +280,33 @@ def series_expand(series_id: str, order: int,
     """Truncated expansion of one of the three word generating functions.
 
     The x^(2k) factor makes the sum finite at any truncation order, and
-    summand k needs 1/D_k only up to x^(order - 2k), so each inverse is
-    carried at that order: 1/D_k comes from 1/D_(k-1) by one division by
-    its new linear factors.  Summand k's terms all have t-degree k, so they
-    go into one dict per power of x and each coefficient is built once.
-    should_stop is polled before each summand.
+    summand k needs 1/D_k only up to x^(order - 2k).  Its coefficients are
+    polynomials in q alone, kept as one list per power of x; dividing by a
+    new factor 1 - q^j x adds q^j times each coefficient into the next, going
+    up in x, and each finished coefficient is range-checked.  Summand k's
+    terms all have t-degree k, so they go into one dict per power of x and
+    each coefficient of the result is built once.  should_stop is polled
+    before each summand.
+
+    >>> print(series_expand("gf-231-312-321", 4)[4])
+    1 + q*t + q^2*t + q^3*t + q^4*t^2
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
     counts: list[dict[tuple[int, int], int]] = [{} for _ in range(order + 1)]
-    inverse = TruncatedSeries.one(order)  # 1/D_(k-1)
+    inverse: list[list[int]] = [[1]] + [[] for _ in range(order)]  # 1/D_(k-1)
     for k in range(order // 2 + 1):
         if should_stop is not None and should_stop():
             raise SearchCancelled("series expansion stopped")
-        rest = order - 2 * k
-        factors = TruncatedSeries.one(rest)
+        del inverse[order - 2 * k + 1:]
         for j in _NEW_FACTORS[series_id](k) if k else (0,):
-            factors = factors * TruncatedSeries(rest, (QTPoly.one(), QTPoly.monomial(j, 0, -1)))
-        inverse = inverse / factors
-        for i, c in enumerate(inverse.coeffs, 2 * k):
-            # the coefficients of 1/D_k are polynomials in q alone
-            counts[i].update(((qe + k * k, k), v) for qe, _, v in c.terms)
+            for prev, cur in zip(inverse, inverse[1:]):
+                end = len(prev) + j
+                cur.extend([0] * (end - len(cur)))
+                cur[j:end] = map(add, cur[j:end], prev)
+        for i, c in enumerate(inverse, 2 * k):
+            _check_all(c)
+            counts[i].update(((qe + k * k, k), v) for qe, v in enumerate(c) if v)
     return TruncatedSeries(order, tuple(QTPoly.from_counts(c) for c in counts))

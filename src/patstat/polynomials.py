@@ -267,12 +267,6 @@ class QTPoly:
             raise ValueError("exponents must be nonnegative")
         return QTPoly._from_acc({(te, qe): c for (qe, te), c in counts.items()})
 
-    @staticmethod
-    def from_qpoly(p: QPoly, t_exp: int = 0) -> "QTPoly":
-        if t_exp < 0:
-            raise ValueError("exponents must be nonnegative")
-        return QTPoly._from_acc({(t_exp, i): c for i, c in enumerate(p.coeffs)})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -361,9 +361,17 @@ def descent_partition_132_213(p: Perm) -> Partition:
     return tuple(sorted(descent_set(p), reverse=True))
 
 
-def from_descent_partition_132_213(parts: Sequence[int], n: int) -> Perm:
+def _check_partition(parts: Sequence[int], n: int) -> None:
+    """Refuse a negative length, and parts that are not a distinct-part
+    partition bounded by n-1."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     if not is_distinct_partition(parts, n - 1):
         raise ValueError(f"{parts} is not a distinct-part partition bounded by {n - 1}")
+
+
+def from_descent_partition_132_213(parts: Sequence[int], n: int) -> Perm:
+    _check_partition(parts, n)
     boundaries = sorted(parts)
     out: list[int] = []
     top = n
@@ -385,8 +393,7 @@ def prefix_partition_132_231(p: Perm) -> Partition:
 
 
 def from_prefix_partition_132_231(parts: Sequence[int], n: int) -> Perm:
-    if not is_distinct_partition(parts, n - 1):
-        raise ValueError(f"{parts} is not a distinct-part partition bounded by {n - 1}")
+    _check_partition(parts, n)
     if n == 0:
         return ()
     prefix = [x + 1 for x in parts]

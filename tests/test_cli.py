@@ -186,6 +186,14 @@ def test_bijection_refuses_a_non_member(name, member, message, capsys):
     assert capsys.readouterr() == ("", f"patstat: {message}\n")
 
 
+@pytest.mark.parametrize("name", ["132-213-partition", "132-231-partition"])
+def test_partition_inverse_refuses_a_negative_n(name, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bijection", "--name", name, "--input", "-", "--inverse", "--n", "-1"])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", "patstat: length must be nonnegative\n")
+
+
 _BAD_WORD = "its letters must be 0 or 1"
 _BAD_PART = "each part must be an integer"
 

@@ -1,18 +1,25 @@
 """The examples in the docstrings and in the README must run as shown."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
-from patstat import perms
+import patstat
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_perms_doctests():
-    results = doctest.testmod(perms)
-    assert results.attempted > 0
-    assert results.failed == 0
+def test_every_module_doctests():
+    names = ["patstat"] + [f"patstat.{m.name}" for m in pkgutil.iter_modules(patstat.__path__)]
+    attempted = {}
+    for name in names:
+        results = doctest.testmod(importlib.import_module(name))
+        assert results.failed == 0, name
+        attempted[name] = results.attempted
+    assert attempted["patstat.perms"] > 0
+    assert attempted["patstat.formulas"] > 0
 
 
 def test_readme_library_block():

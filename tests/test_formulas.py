@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import brute_avoiders, des_brute, inv_brute, maj_brute
-from patstat import formulas, perms
+from patstat import cli, formulas, perms
 from patstat.engine import SearchCancelled
 from patstat.polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer
 
@@ -236,3 +240,41 @@ def test_series_expansion_stops_on_request():
     polls = []
     formulas.series_expand("gf-312-321", 10, should_stop=lambda: polls.append(1) and False)
     assert len(polls) == 6  # once per summand, k = 0..5
+
+
+# SHA-1 digests of the formula layer's output: a rewrite of the closed forms
+# or of the series division must reproduce them byte for byte.
+FORMULA_COMMAND_DIGEST = "2772083d528baa39bc5bc7a6dbe0e6955a8b2eb4"
+SERIES_JSON_DIGEST = "d1447688ffefa6f130c0581a21a6cec7cfd644aa"
+
+
+def formula_command_digest():
+    """Exit code and stdout of `patstat formula` for every id at n = 0..24 in
+    each format."""
+    digest = hashlib.sha1()
+    for fid in sorted(formulas.CLOSED_FORMS):
+        for n in range(25):
+            for fmt in ("text", "json", "csv"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["formula", "--id", fid, "--n", str(n), "--format", fmt])
+                digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def series_json_digest():
+    """Every series' expansion at orders 0..30, as json."""
+    digest = hashlib.sha1()
+    for sid in formulas.SERIES_IDS:
+        for order in range(31):
+            digest.update(json.dumps(formulas.series_expand(sid, order).to_json()).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_formula_command_output_is_pinned():
+    assert formula_command_digest() == FORMULA_COMMAND_DIGEST
+
+
+def test_series_expansions_are_pinned():
+    assert series_json_digest() == SERIES_JSON_DIGEST

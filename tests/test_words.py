@@ -176,6 +176,17 @@ def test_partition_bijection_prefix():
         words.prefix_partition_132_231((2, 3, 1))
 
 
+@pytest.mark.parametrize("name", ["132-213-partition", "132-231-partition"])
+def test_partition_inverses_refuse_a_negative_length(name):
+    bijection = words.BIJECTIONS[name]
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            bijection.inverse((), n)
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            bijection.back((), n)
+    assert bijection.back((), 0) == ()
+
+
 def test_partition_bijections_exhaustive():
     # brute-filter oracle up to n=7; the acceptance suite drives the maps
     # at their full bound through the separately validated engine
