@@ -179,64 +179,64 @@ def _transitions(n: int, patterns: tuple[Perm, ...]):
 
     With m values still free, the free value of rank r (0-based) is placed
     next: an old cut c becomes c - 1 if c > r and the new entry gets cut r.
-    A state holds what the completions can still see of the prefix, in
-    cuts: the least and greatest entries (for 123, 132, 321, 312); which
-    gaps strictly inside the free values hold an entry (for 213, 231); and
-    for each pattern pat of length k >= 4 the set of cut tuples of the
-    copies of pat[:j], 1 <= j <= k - 2, that still fit in the free values.
-    A copy of pat[:-1] is settled when it forms: a free value in its
-    completion gap kills the prefix, and an empty gap stays empty.
-    Prefixes with equal states have the same completions.  The cut of the
-    previous entry, which decides descents, is the r of the placement that
-    made the state, not part of it (see _dp_profile).
+    A state (cuts, copies) holds what the completions can still see of the
+    prefix.  lo and hi are the least and greatest cut of an entry, and the
+    inner cuts lie in 1 .. m - 1.  Each pattern of length 2 or 3 bounds r:
+    12 to r = m - 1, 21 to r = 0, 132 to r <= lo, 312 to r >= hi - 1, 213 to
+    r >= the greatest inner cut of an entry, 231 to r < the least, 123 to
+    r < lo or r = m - 1, and 321 to r = 0 or r >= hi.  cuts has a bit set
+    for each cut of an entry that these read: lo for 123 and 132, hi for 321
+    and 312, and the inner cuts for 213 and 231, save that under 312 every
+    later r is at least hi - 1, so no inner cut but hi can lie above r for
+    213, and under 132 at most lo, so none but lo can lie at or below r for
+    231.  copies holds, for each pattern pat of length k >= 4, the cut
+    tuples of the copies of pat[:j], 1 <= j <= k - 2, that still fit in the
+    free values.  A copy of pat[:-1] is settled when it forms: a free value
+    in its completion gap kills the prefix, and an empty gap stays empty.
+    Prefixes with equal states have the same completions.  The previous
+    entry's cut, which decides descents, is the r of the placement that made
+    the state (see _dp_profile).
 
-    Returns the root state and children(state, m), the list of (r, child
-    state) pairs in increasing r.  Patterns of length 0 and 1 are left to
-    the caller.
+    Returns the root state and children(state, m), the (r, child state)
+    pairs in increasing r.  Patterns of length 0 and 1 are left to the caller.
     """
-    f12 = (1, 2) in patterns
-    f21 = (2, 1) in patterns
-    f123 = (1, 2, 3) in patterns
-    f321 = (3, 2, 1) in patterns
-    f213 = (2, 1, 3) in patterns
-    f231 = (2, 3, 1) in patterns
-    f132 = (1, 3, 2) in patterns
-    f312 = (3, 1, 2) in patterns
-    track_min = f123 or f132
-    track_max = f321 or f312
-    track_mid = f213 or f231
+    f12, f21, f123, f132, f213, f231, f312, f321 = (
+        (1, 2) in patterns, (2, 1) in patterns, (1, 2, 3) in patterns, (1, 3, 2) in patterns,
+        (2, 1, 3) in patterns, (2, 3, 1) in patterns, (3, 1, 2) in patterns, (3, 2, 1) in patterns)
+    keep_lo, keep_hi = f123 or f132, f321 or f312
+    keep_inner = f213 and not f312 or f231 and not f132
     longs = [_copy_tables(p) for p in patterns if len(p) >= 4]
+    shorts = len(longs) < len(patterns)
 
     def children(state, m: int) -> list:
-        min_cut, max_cut, mid, copies = state
-        inner = (1 << (m - 1)) - 2 if m > 1 else 0  # gaps 1 .. m-2 of the child
+        cuts, copies = state
+        first, last = m - 1 if f12 else 0, 0 if f21 else m - 1
+        if shorts:
+            lo = (cuts & -cuts).bit_length() - 1 if keep_lo and cuts else m  # m while empty
+            hi, inner = cuts.bit_length() - 1, cuts & (1 << m) - 2
+            last = lo if f132 and lo < last else last
+            first = hi - 1 if f312 and hi - 1 > first else first
+            first = inner.bit_length() - 1 if f213 and inner >> first + 1 else first
+            last = (inner & -inner).bit_length() - 2 if f231 and inner & (2 << last) - 1 else last
         if longs:
             steps = list(zip(*[_moves_row(t, held, m) for t, held in zip(longs, copies)]))
+        inside = (1 << (m - 1)) - 2 if keep_inner and m > 1 else 0  # the child's inner cuts
         out = []
-        for r in range(m):
-            if f12 and r != m - 1 or f21 and r:
-                continue
-            if r >= min_cut and (f123 and r < m - 1 or f132 and r > min_cut):
-                continue
-            if r < max_cut and (f321 and r or f312 and r < max_cut - 1):
-                continue
-            if f213 and mid >> (r + 1) or f231 and mid & ((2 << r) - 1):
+        for r in range(first, last + 1):
+            if f123 and lo <= r < m - 1 or f321 and 0 < r < hi:
                 continue
             moved = steps[r] if longs else copies
             if longs and None in moved:  # some pattern's row kills the placement
                 continue
             out.append((r, (
-                min(r, min_cut) if track_min else 0,
-                (r if r >= max_cut else max_cut - 1) if track_max else 0,
-                ((mid & ((2 << r) - 1)) | (mid >> (r + 1) << r) | (1 << r)) & inner
-                if track_mid else 0,
-                moved,
-            )))
+                (1 << (r if r < lo else lo) if keep_lo else 0)
+                | (1 << (r if r >= hi else hi - 1) if keep_hi else 0)
+                | ((cuts & (1 << r) - 1 | cuts >> r + 1 << r | 1 << r) & inside
+                   if keep_inner else 0),
+                moved)))
         return out
 
-    # (min_cut, max_cut, mid_mask, copies); the root's least entry is a
-    # sentinel above every value
-    return (n if track_min else 0, 0, 0, (frozenset(),) * len(longs)), children
+    return (0, (frozenset(),) * len(longs)), children
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,65 @@ def test_profile_computes_each_states_children_once_per_level(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_profiles_of_short_patterns_are_pinned():
+    # the SHA-1 of _dp_profile while its states held the least and greatest
+    # cuts and every inner cut: every set of patterns from S3, 12 and 21 at
+    # n <= 14, every {S3, S4} pair at n <= 8
+    short = S3 + [(1, 2), (2, 1)]
+    sets = [s for r in range(len(short) + 1) for s in itertools.combinations(short, r)]
+    keys = [(engine.canonical_patterns(pats), n) for pats in sets for n in range(15)]
+    keys += [(engine.canonical_patterns([a, b]), n) for a in S3 for b in S4 for n in range(9)]
+    digest = hashlib.sha1()
+    for pats, n in keys:
+        prof = engine._dp_profile(n, pats, None)
+        digest.update(repr((pats, n, prof.inv_poly.coeffs, prof.majdes_poly.terms)).encode())
+    assert digest.hexdigest() == "6e428a4732de332cf2bdc7b9ac308da7b0673aec"
+
+
+def _widest_level(n, pats, monkeypatch):
+    """The most keys of one level of _dp_profile(n, pats): the distinct
+    (r, child) pairs that the children of one level's states return."""
+    levels = {}
+    transitions = engine._transitions
+
+    def counted(n, pats):
+        root, children = transitions(n, pats)
+
+        def wrapped(state, m):
+            out = children(state, m)
+            levels.setdefault(m, set()).update(out)
+            return out
+        return root, wrapped
+
+    monkeypatch.setattr(engine, "_transitions", counted)
+    engine._dp_profile(n, pats, None)
+    monkeypatch.undo()
+    return max(len(keys) for keys in levels.values())
+
+
+def test_short_pattern_states_keep_only_the_cuts_a_placement_tests(monkeypatch):
+    # under 132, 231 can test no inner cut but lo, and under 312, 213 none
+    # but hi, so {132, 231}, {213, 312}, {123, 132, 231} and {213, 312, 321}
+    # hold n keys a level; 213, 231, {123, 231} and {213, 321} keep every
+    # inner cut and stay wide
+    wide = {"213": 1024, "231": 1024, "123,231": 1025, "213,321": 1025,
+            "123": 29, "321": 29, "123,213": 29, "123,312": 29, "123,321": 30,
+            "132,321": 29, "231,321": 29}
+    for pats in [s for r in (1, 2, 3) for s in itertools.combinations(S3, r)]:
+        name = perms.format_pattern_set(pats).replace(" ", "")
+        assert _widest_level(16, pats, monkeypatch) == wide.get(name, 16), name
+
+
+def test_sets_whose_states_kept_every_inner_cut_stay_under_an_rss_cap():
+    # while their states kept every inner cut, these held 1,024 keys a level
+    # at n = 16 and ran out of memory at n = 30; now they hold n keys a
+    # level, and the process peaks at about 20 MiB
+    sets = [((1, 3, 2), (2, 3, 1)), ((2, 1, 3), (3, 1, 2)),
+            ((1, 2, 3), (1, 3, 2), (2, 3, 1)), ((2, 1, 3), (3, 1, 2), (3, 2, 1))]
+    assert _peak_kib(f"assert [engine._dp_profile(30, p, None).count for p in {sets}]"
+                     " == [2**29, 2**29, 30, 30]") < 40 * 1024
+
+
 def test_enumeration_is_lexicographic_and_duplicate_free():
     for pats in [((1, 3, 2),), ((2, 1, 3), (3, 2, 1)), ()]:
         for n in range(7):
@@ -527,24 +586,27 @@ def _av_123_132_231(n):
 
 def test_enumeration_walks_no_dead_state_twice():
     # Av_20(123, 132, 231) has 20 members, and over a million prefixes that
-    # none of them extends, but only about 28,000 states: the walk polls once
-    # per engine._STOP_CHECK_INTERVAL steps, so it takes fewer than 40,960
+    # none of them extends, but about 200 states: the walk takes about 300
+    # steps, and polls once per engine._STOP_CHECK_INTERVAL of them (walking
+    # every dead prefix took over 700,000 steps)
     polls = []
     out = list(engine.enumerate_avoiders(20, _AV_123_132_231,
                                          should_stop=lambda: polls.append(1) and False))
     assert out == _av_123_132_231(20)
-    assert len(polls) < 10
+    assert polls == []
 
 
 def test_stop_while_dead_prefixes_are_settled():
-    # every prefix below the first avoider's 19 is dead, so the first poll
-    # comes before anything is yielded
+    # Av_15(123, 132, 3241) walks over 9,000 steps of dead prefixes before
+    # its first avoider, 14, ..., 1, 15, so the first poll comes before
+    # anything is yielded
+    pats = ((1, 2, 3), (1, 3, 2), (3, 2, 4, 1))
     got = []
     with pytest.raises(SearchCancelled):
-        for p in engine.enumerate_avoiders(20, _AV_123_132_231, should_stop=lambda: True):
+        for p in engine.enumerate_avoiders(15, pats, should_stop=lambda: True):
             got.append(p)
     assert got == []
-    assert list(engine.enumerate_avoiders(20, _AV_123_132_231)) == _av_123_132_231(20)
+    assert next(engine.enumerate_avoiders(15, pats)) == tuple(range(14, 0, -1)) + (15,)
 
 
 _MATE_TAGS = ("rinf", "r0", "R180")
