@@ -72,17 +72,18 @@ def canonical_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Perm, ...]:
 class _CopyTables(NamedTuple):
     """How the prefix copies of one pattern of length >= 4 extend and die.
 
+    need[j][g] counts the entries of pat[j:] whose value falls in gap g of
+    pat[:j] (gap 0 below its least value, gap j above its greatest).
     plan[j] names the entries of pat[:j] nearest to pat[j] in value
-    (perms._match_plan).  order[j] lists the indices of pat[:j] by
-    increasing value, and need[j][g] counts the entries of pat[j:] whose
-    value falls in gap g of pat[:j] (gap 0 below its least value, gap j
-    above its greatest).  moves maps (copy set, m) to the row of
-    _step_copies's results for r < m, which depends on the pattern alone.
+    (perms._match_plan), and split[j] counts the entries of pat[j + 1:]
+    that fall below and above pat[j] in the gap of pat[:j] that holds it.
+    moves maps (copy set, m) to its row (see _moves_row), which depends on
+    the pattern alone.
     """
 
     k: int
     plan: tuple[tuple[int, int], ...]
-    order: tuple[tuple[int, ...], ...]
+    split: tuple[tuple[int, int], ...]
     need: tuple[tuple[int, ...], ...]
     # +1 if pat starts with its minimum, -1 with its maximum, else 0
     anchor: int
@@ -100,77 +101,83 @@ _COPY_ROWS_MAX = 1536
 @functools.lru_cache(maxsize=_COPY_TABLE_PATTERNS)
 def _copy_tables(pat: Perm) -> _CopyTables:
     k = len(pat)
-    order = []
     need = []
     for j in range(k):
-        by_value = tuple(sorted(range(j), key=pat.__getitem__))
         gaps = [0] * (j + 1)
         for x in pat[j:]:
-            gaps[sum(pat[i] < x for i in by_value)] += 1
-        order.append(by_value)
+            gaps[sum(y < x for y in pat[:j])] += 1
         need.append(tuple(gaps))
+    # pat[j] splits gap p of pat[:j] into gaps p and p + 1 of pat[:j + 1]
+    split = []
+    for j in range(k - 1):
+        p = sum(y < pat[j] for y in pat[:j])
+        split.append(need[j + 1][p:p + 2])
     anchor = 1 if pat[0] == 1 else -1 if pat[0] == k else 0
-    return _CopyTables(k, _match_plan(pat), tuple(order), tuple(need), anchor, {})
-
-
-def _fits(cuts: tuple[int, ...], order: tuple[int, ...], need: tuple[int, ...], m: int) -> bool:
-    """Whether m free values leave room for the rest of a pattern copy.
-
-    Every gap between the copy's values must hold as many free values as
-    the pattern still has entries to put there.
-    """
-    low = 0
-    for i, want in zip(order, need):
-        c = cuts[i]
-        if c - low < want:
-            return False
-        low = c
-    return m - low >= need[-1]
-
-
-def _step_copies(tables: _CopyTables, copies: frozenset, r: int, m: int) -> Optional[frozenset]:
-    """The copies after placing the free value of rank r, or None if that
-    placement leaves a free value completing a copy of the whole pattern."""
-    k, plan, order, need, anchor, _ = tables
-    m1 = m - 1
-    out = set()
-    for t in copies:
-        j = len(t)
-        moved = tuple(c - 1 if c > r else c for c in t)
-        if _fits(moved, order[j], need[j], m1):
-            out.add(moved)
-        # cuts grow with values, so the nearest entries of pat[:j] below and
-        # above pat[j] decide whether the new value sits between them all
-        lo, hi = plan[j]
-        if (lo < 0 or t[lo] <= r) and (hi < 0 or t[hi] > r):
-            longer = moved + (r,)
-            if _fits(longer, order[j + 1], need[j + 1], m1):
-                # a copy of pat[:-1] fits iff a free value completes it
-                if j + 1 == k - 1:
-                    return None
-                out.add(longer)
-    if _fits((r,), order[1], need[1], m1):
-        out.add((r,))
-    if anchor:
-        # a one-entry copy of a pattern that starts with its minimum (maximum)
-        # completes whenever one with a larger (smaller) value does
-        singles = [t for t in out if len(t) == 1]
-        if len(singles) > 1:
-            out.difference_update(singles)
-            out.add(min(singles) if anchor > 0 else max(singles))
-    return frozenset(out)
+    return _CopyTables(k, _match_plan(pat), tuple(split), tuple(need), anchor, {})
 
 
 def _moves_row(tables: _CopyTables, held: frozenset, m: int) -> tuple:
-    """_step_copies(tables, held, r, m) for r = 0 .. m - 1, read from the
-    pattern's table, where a row is stored whole once it is computed."""
+    """The copy sets after placing the free value of rank r = 0 .. m - 1, or
+    None where a free value would then complete a copy of the whole pattern,
+    read from the pattern's table, where a row is stored whole once built.
+
+    A gap of a copy is the run of free ranks between two consecutive cuts,
+    and placing rank r shrinks only the gap that holds r.  Every copy in
+    held fits m free values, since the step that made the set kept only
+    those, so each part of the row covers one interval of r: a copy moves
+    the same way for every r in a gap and stays iff that gap has a free
+    value to spare; it extends iff r leaves both parts of the gap around
+    pat[j] the entries that pat[j + 1:] puts there; and (r,) is a copy iff
+    r leaves room on both sides.
+    """
     moves = tables.moves
     row = moves.get((held, m))
-    if row is None:
-        row = tuple([_step_copies(tables, held, r, m) for r in range(m)])
-        if len(moves) >= _COPY_ROWS_MAX:
-            moves.clear()
-        moves[held, m] = row
+    if row is not None:
+        return row
+    k, plan, split, need, anchor, _ = tables
+    out = [[] for _ in range(m)]
+    first, stop = need[1][0], m - need[1][1]  # the r for which (r,) is a copy
+    kills = []
+    for t in held:
+        j = len(t)
+        edges = [0, *sorted(t), m]  # cuts grow with values
+        gaps = range(j + 1)
+        if anchor and j == 1:
+            # a one-entry copy of a pattern that starts with its minimum
+            # (maximum) completes whenever one with a larger (smaller) value
+            # does, so of (r,) and t's move the least (greatest) is kept: (r,)
+            # for r < t[0] (r >= t[0]) and the move otherwise; as t fits,
+            # the one kept fits wherever the one dropped does
+            if anchor > 0:
+                stop, gaps = min(stop, t[0]), (1,)
+            else:
+                first, gaps = max(first, t[0]), (0,)
+        for g in gaps:
+            a, b = edges[g], edges[g + 1]
+            if b - a > need[j][g]:
+                moved = tuple([c - 1 if c >= b else c for c in t])
+                for copies in out[a:b]:
+                    copies.append(moved)
+        # the gap around pat[j] ends at the cuts of its nearest entries below
+        # and above, since cuts grow with values
+        lo, hi = plan[j]
+        a, b = t[lo] if lo >= 0 else 0, t[hi] if hi >= 0 else m
+        below, above = split[j]
+        if a + below < b - above:
+            if j == k - 2:  # a copy of pat[:-1] fits iff a free value completes it
+                kills.append((a + below, b - above))
+            else:
+                moved = tuple([c - 1 if c >= b else c for c in t])
+                for r in range(a + below, b - above):
+                    out[r].append(moved + (r,))
+    for r in range(first, stop):
+        out[r].append((r,))
+    for a, b in kills:
+        out[a:b] = [None] * (b - a)
+    row = tuple([copies if copies is None else frozenset(copies) for copies in out])
+    if len(moves) >= _COPY_ROWS_MAX:
+        moves.clear()
+    moves[held, m] = row
     return row
 
 

@@ -148,9 +148,89 @@ def test_nearest_entries_decide_whether_a_copy_extends():
     assert seen[True] and seen[False] and seen["differs"]
 
 
+@functools.cache
+def _gaps(pat):
+    """order[j], the indices of pat[:j] by increasing value, and need[j][g],
+    the entries of pat[j:] in gap g of pat[:j] (gap 0 below its least value)."""
+    order = [tuple(sorted(range(j), key=pat.__getitem__)) for j in range(len(pat))]
+    need = [tuple(sum(sum(pat[i] < x for i in order[j]) == g for x in pat[j:])
+                  for g in range(j + 1)) for j in range(len(pat))]
+    return order, need
+
+
+def _fits(cuts, order, need, m):
+    """Whether m free values leave room for the rest of a pattern copy: every
+    gap between the copy's values must hold as many free values as the
+    pattern still has entries to put there."""
+    low = 0
+    for i, want in zip(order, need):
+        c = cuts[i]
+        if c - low < want:
+            return False
+        low = c
+    return m - low >= need[-1]
+
+
+def _step_copies(pat, copies, r, m):
+    """The copies of prefixes of pat after placing the free value of rank r,
+    or None if a free value then completes a copy of pat: one entry of a
+    row of engine._moves_row, computed by moving and fitting every copy."""
+    k, plan, (order, need) = len(pat), perms._match_plan(pat), _gaps(pat)
+    m1 = m - 1
+    out = set()
+    for t in copies:
+        j = len(t)
+        moved = tuple(c - 1 if c > r else c for c in t)
+        if _fits(moved, order[j], need[j], m1):
+            out.add(moved)
+        lo, hi = plan[j]
+        if (lo < 0 or t[lo] <= r) and (hi < 0 or t[hi] > r):
+            longer = moved + (r,)
+            if _fits(longer, order[j + 1], need[j + 1], m1):
+                if j + 1 == k - 1:
+                    return None
+                out.add(longer)
+    if _fits((r,), order[1], need[1], m1):
+        out.add((r,))
+    if pat[0] in (1, k):
+        # a one-entry copy of a pattern that starts with its minimum (maximum)
+        # completes whenever one with a larger (smaller) value does
+        singles = [t for t in out if len(t) == 1]
+        if len(singles) > 1:
+            out.difference_update(singles)
+            out.add(min(singles) if pat[0] == 1 else max(singles))
+    return frozenset(out)
+
+
+def test_move_rows_match_the_per_rank_step(monkeypatch):
+    # _moves_row builds a row one gap of each copy at a time, which is
+    # exact only if every copy of a held set fits its m free values (and,
+    # for a pattern that starts with its extreme, at most one copy has one
+    # entry).  The rows of a set of patterns are rows of its singletons: the
+    # S4 singletons to n = 10 reach all 13,810 rows that the S4 pairs and
+    # {S3, S4} pairs reach to n = 9, and the longer patterns 669 more
+    monkeypatch.setattr(engine, "_COPY_ROWS_MAX", 10 ** 9)
+    engine._copy_tables.cache_clear()
+    longer = [(2, 4, 1, 5, 3), (1, 3, 5, 2, 4), (3, 1, 5, 2, 4), (1, 2, 3, 4, 5),
+              (5, 4, 3, 2, 1), (2, 3, 1, 6, 4, 5)]
+    jobs = [(p, n) for p in S4 for n in range(11)] + [(p, n) for p in longer for n in range(9)]
+    for p, n in jobs:
+        engine._dp_profile(n, (p,), None)
+    rows = 0
+    for p in S4 + longer:
+        order, need = _gaps(p)
+        for (held, m), row in engine._copy_tables(p).moves.items():
+            assert all(_fits(t, order[len(t)], need[len(t)], m) for t in held), (p, held, m)
+            assert p[0] not in (1, len(p)) or sum(len(t) == 1 for t in held) <= 1, (p, held)
+            assert list(row) == [_step_copies(p, held, r, m) for r in range(m)], (p, held, m)
+            rows += 1
+    assert rows == 13810 + 669
+    engine._copy_tables.cache_clear()
+
+
 def test_cancelled_profile_keeps_only_complete_moves():
     # a row of moves is stored whole, so a cancelled run leaves only rows
-    # with one move per rank, each the move _step_copies computes
+    # with one move per rank, each the move the per-rank step computes
     pats = ((1, 3, 2, 4), (2, 4, 1, 3))
     for k in (1, 10, 100):
         engine._copy_tables.cache_clear()
@@ -165,10 +245,9 @@ def test_cancelled_profile_keeps_only_complete_moves():
             engine._dp_profile(7, pats, stop)
         assert polls == k
         for p in pats:
-            tables = engine._copy_tables(p)
-            for (held, m), row in tables.moves.items():
+            for (held, m), row in engine._copy_tables(p).moves.items():
                 assert len(row) == m
-                assert list(row) == [engine._step_copies(tables, held, r, m) for r in range(m)]
+                assert list(row) == [_step_copies(p, held, r, m) for r in range(m)]
         assert _query(7, pats) == _s4_brute(7)[7, pats]
 
 
