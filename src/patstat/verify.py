@@ -72,6 +72,21 @@ def _polled(items: Iterable, should_stop: Stop) -> Iterator:
         yield item
 
 
+class _Table(dict):
+    """kernel's value on each of keys, for a check whose cases read the same
+    value many times.  Any other key is computed and stored when it is first
+    read, so an image that a broken map sends outside keys reads what a direct
+    call returns.  Each check call makes its own tables; none outlives it."""
+
+    def __init__(self, kernel: Callable, keys: Iterable = ()) -> None:
+        super().__init__({key: kernel(key) for key in keys})
+        self._kernel = kernel
+
+    def __missing__(self, key):
+        value = self[key] = self._kernel(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # permutation-level identities
 
@@ -79,10 +94,11 @@ def _polled(items: Iterable, should_stop: Stop) -> Iterator:
 def _inv_symmetry(nmax: int) -> Outcomes:
     for n in range(nmax + 1):
         top = math.comb(n, 2)
+        inv = _Table(perms.inv, perms.all_perms(n))  # every image of p is again in S_n
         for p in perms.all_perms(n):
-            base = perms.inv(p)
+            base = inv[p]
             for f in perms.SYMMETRIES:
-                got = perms.inv(perms.apply_symmetry(f, p))
+                got = inv[perms.apply_symmetry(f, p)]
                 want = base if f in perms.INV_PRESERVING else top - base
                 yield got == want or f"inv {f}({perms.format_perm(p)}) = {got} != {want}"
 
@@ -90,8 +106,9 @@ def _inv_symmetry(nmax: int) -> Outcomes:
 def _maj_complement(nmax: int) -> Outcomes:
     for n in range(nmax + 1):
         top = math.comb(n, 2)
+        maj = _Table(perms.maj, perms.all_perms(n))
         for p in perms.all_perms(n):
-            yield (perms.maj(perms.complement(p)) == top - perms.maj(p)
+            yield (maj[perms.complement(p)] == top - maj[p]
                    or f"maj complement fails at {perms.format_perm(p)}")
 
 
@@ -103,13 +120,16 @@ def _images(p: perms.Perm) -> tuple[perms.Perm, ...]:
 def _containment_transport(nmax: int) -> Outcomes:
     patterns = [(q, _images(q)) for k in range(4) for q in perms.all_perms(k)]
     for n in range(nmax + 1):
+        # every image of a pair (p, pat) is again such a pair
+        contains = _Table(lambda pair: perms.contains(*pair),
+                          itertools.product(perms.all_perms(n), [q for q, _ in patterns]))
         for p in perms.all_perms(n):
             images = _images(p)
             for pat, pat_images in patterns:
-                base = perms.contains(p, pat)
+                base = contains[p, pat]
                 for f, image, pat_image in zip(perms.SYMMETRIES, images, pat_images):
                     yield (
-                        perms.contains(image, pat_image) == base
+                        contains[image, pat_image] == base
                         or f"containment not preserved by {f} on "
                         f"({perms.format_perm(p)}, {perms.format_perm(pat)})"
                     )
@@ -236,20 +256,24 @@ def _independent_run(n: int, pat: perms.Perm, tag: str, should_stop: Stop) -> Ou
 
 
 def _inv_poly_transport(nmax: int, should_stop: Stop) -> Outcomes:
+    # a pattern's polynomial at each length; every image of a pattern is again
+    # one of the patterns.  Filled as the cases first read it, so the engine
+    # meets the same first requests in the same order as without the table.
+    polys = _Table(lambda pat: [engine.stat_poly(n, (pat,), "inv", should_stop)
+                                for n in range(nmax + 1)])
     for pat in _patterns_s3_s4():
         least = _least_of_orbit(pat)
-        # the pattern's own polynomial at each length, as it is and reversed
-        kept = [engine.stat_poly(n, (pat,), "inv", should_stop) for n in range(nmax + 1)]
+        kept = polys[pat]
         flipped = [want.reverse(n) for n, want in enumerate(kept)]
         for f, image in zip(perms.SYMMETRIES, _images(pat)):
             wants = flipped if f in perms.INV_REVERSING else kept
+            lefts = polys[image]
             for n in range(nmax + 1):
                 # once per orbit and length; below the pattern's length
                 # every permutation avoids it, and each run counts all of S_n
                 due = least and f == "R0" and n >= len(pat)
                 run = _independent_run(n, pat, "rinf", should_stop) if due else True
-                left = engine.stat_poly(n, (image,), "inv", should_stop)
-                yield (left == wants[n]
+                yield (lefts[n] == wants[n]
                        or f"inv transport fails: {f}({perms.format_perm(pat)}) at n={n}", run)
 
 
@@ -343,15 +367,18 @@ def _words_up_to(length: int):
 
 
 def _foata_properties(max_len: int) -> Outcomes:
-    for v in _words_up_to(max_len):
-        w = words.foata(v)
-        sv, sw = words.word_stats(v), words.word_stats(w)
-        if len(w) != len(v) or sw.inv != sv.maj:
-            yield f"statistic transport fails at {words.format_word(v)}"
-        elif words.durfee(w) != sv.des:
-            yield f"descents vs square side fails at {words.format_word(v)}"
-        else:
-            yield words.foata_inverse(w) == v or f"inverse fails at {words.format_word(v)}"
+    for n in range(max_len + 1):
+        # foata keeps the length, so the image's statistics are in the table
+        stats = _Table(words.word_stats, itertools.product((0, 1), repeat=n))
+        for v in itertools.product((0, 1), repeat=n):
+            w = words.foata(v)
+            sv, sw = stats[v], stats[w]
+            if len(w) != len(v) or sw.inv != sv.maj:
+                yield f"statistic transport fails at {words.format_word(v)}"
+            elif words.durfee(w) != sv.des:
+                yield f"descents vs square side fails at {words.format_word(v)}"
+            else:
+                yield words.foata_inverse(w) == v or f"inverse fails at {words.format_word(v)}"
 
 
 def _durfee_roundtrip(max_len: int) -> Outcomes:

@@ -2,11 +2,12 @@
 at its full documented range, so the identities it re-derives need no
 second exhaustive test elsewhere."""
 
+import hashlib
 import math
 
 import pytest
 
-from patstat import engine, perms, verify, words
+from patstat import cli, engine, perms, verify, words
 
 
 @pytest.mark.parametrize(
@@ -20,8 +21,10 @@ def test_paper_suite_passes(name, check):
     assert r.name == name
 
 
-#: Each paper check's case count at --nmax 3, 4 and 5, in PAPER_CHECKS order,
-#: so that no check drops, merges or adds a case unnoticed.
+#: Each paper check's case count at --nmax 3 to 7, in PAPER_CHECKS order, so
+#: that no check drops, merges or adds a case unnoticed.  At 7 inv-under-symmetries
+#: and maj-under-complement reach their cap of 7; containment-under-symmetries
+#: reaches its cap of 6 at 6.
 _CASES = {
     3: [80, 10, 800, 640, 454, 400, 200, 60, 256, 960, 120, 12, 171, 8, 8, 18, 8, 255, 255,
         24, 18, 26],
@@ -29,6 +32,10 @@ _CASES = {
         27, 21, 32],
     5: [1232, 154, 12320, 9856, 454, 400, 200, 60, 384, 1440, 180, 12, 231, 10, 10, 24, 10,
         1023, 1023, 30, 24, 38],
+    6: [6992, 874, 69920, 9856, 454, 400, 200, 60, 448, 1680, 210, 12, 261, 11, 11, 27, 11,
+        2047, 2047, 33, 27, 44],
+    7: [47312, 5914, 69920, 9856, 454, 400, 200, 60, 512, 1920, 240, 12, 291, 12, 12, 30, 12,
+        4095, 4095, 36, 30, 50],
 }
 
 
@@ -38,6 +45,73 @@ def test_paper_checks_keep_their_cases(nmax):
     assert [r.name for r in results] == [name for name, _ in verify.PAPER_CHECKS]
     assert [r.cases for r in results] == _CASES[nmax]
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+
+#: SHA-1 of the stdout of `verify --suite paper --nmax N --format F`; the CLI
+#: goldens pin --nmax 1 only.
+_PAPER_OUTPUT_SHA1 = {
+    (3, "text"): "9abd90f898ecd89b054fdf1c1712c66db8f76c6d",
+    (3, "json"): "740da1797883b25b6e2aba799f66a84149ca5fc9",
+    (5, "text"): "5908bcd85aca3d22be98e18eddb7c7f75578f76b",
+    (5, "json"): "747dc252a68081d6f2ff8f56ff85aa306ea7004c",
+    (8, "text"): "7aa1b37cf01198a5cfb867b3ca44377c5d66de6e",
+    (8, "json"): "039de6648eb6795deeddf87acb24b136adbd9f72",
+}
+
+
+@pytest.mark.parametrize("nmax, fmt", sorted(_PAPER_OUTPUT_SHA1))
+def test_paper_suite_output_is_pinned(nmax, fmt, capsys):
+    code = cli.main(["verify", "--suite", "paper", "--nmax", str(nmax), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha1(out.encode()).hexdigest(), err) == (
+        0, _PAPER_OUTPUT_SHA1[nmax, fmt], "")
+
+
+def _plus_one_at(p0):
+    return lambda f: lambda p: f(p) + (p == p0)
+
+
+def _appends_0_at_24153(f):
+    # every image of 24153 becomes a sequence of length 6 that is no permutation
+    return lambda tag, p: f(tag, p) + (0,) * (p == (2, 4, 1, 5, 3))
+
+
+@pytest.mark.parametrize("module, kernel, broken, name, nmax, line", [
+    (perms, "inv", _plus_one_at((2, 1, 3)), "inv-under-symmetries", 3,
+     "FAIL inv-under-symmetries (80 cases): inv R180(132) = 2 != 1; inv r-1(132) = 2 != 1; "
+     "inv R90(213) = 2 != 1; ... 9 more"),
+    (perms, "maj", _plus_one_at((2, 1, 3)), "maj-under-complement", 3,
+     "FAIL maj-under-complement (10 cases): maj complement fails at 213; "
+     "maj complement fails at 231"),
+    (perms, "apply_symmetry", _appends_0_at_24153, "inv-under-symmetries", 5,
+     "FAIL inv-under-symmetries (1232 cases): inv R0(24153) = 9 != 4; "
+     "inv R90(24153) = 11 != 6; inv R180(24153) = 9 != 4; ... 5 more"),
+    (perms, "apply_symmetry", _appends_0_at_24153, "containment-under-symmetries", 5,
+     "FAIL containment-under-symmetries (12320 cases): "
+     "containment not preserved by R0 on (24153, 321); "
+     "containment not preserved by R180 on (24153, 321); "
+     "containment not preserved by r-1 on (24153, 321); ... 1 more"),
+    (perms, "contains", lambda f: lambda p, q: f(p, q) and (p, q) != ((1, 3, 2), (1, 2)),
+     "containment-under-symmetries", 3,
+     "FAIL containment-under-symmetries (800 cases): containment not preserved by R90 on "
+     "(132, 12); containment not preserved by R180 on (132, 12); containment not preserved "
+     "by R270 on (132, 12); ... 9 more"),
+    (engine, "stat_poly", lambda f: lambda n, pats, *rest: (
+        f(n, pats, *rest).reverse(n) if (n, pats) == (4, ((1, 3, 2),)) else f(n, pats, *rest)),
+     "inv-polynomial-transport", 4,
+     "FAIL inv-polynomial-transport (1200 cases): inv transport fails: R90(132) at n=4; "
+     "inv transport fails: R180(132) at n=4; inv transport fails: R270(132) at n=4; "
+     "... 9 more"),
+    (words, "foata", lambda f: lambda v: f(v)[:-1] if v == (1, 0, 1) else f(v),
+     "run-rearrangement-bijection", 0,
+     "FAIL run-rearrangement-bijection (31 cases): statistic transport fails at 101"),
+], ids=["inv", "maj", "symmetry-inv", "symmetry-containment", "contains", "stat_poly", "foata"])
+def test_a_kernel_wrong_on_one_input_fails_its_check(monkeypatch, module, kernel, broken,
+                                                      name, nmax, line):
+    # the checks that read a kernel's value many times read it from a table;
+    # an image outside the table, as a broken map returns, must be read too
+    monkeypatch.setattr(module, kernel, broken(getattr(module, kernel)))
+    assert dict(verify.PAPER_CHECKS)[name](nmax).line() == line
 
 
 def test_conjecture_suite_passes():
