@@ -30,7 +30,6 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -364,8 +363,7 @@ def enumerate_avoiders(
 _DES_MAJ = itemgetter(1, 0)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Joint statistics over one avoidance set."""
 
     inv_poly: QPoly
@@ -544,8 +542,7 @@ def stat_multiset(patterns: Iterable[Sequence[int]], stat: str) -> tuple[int, ..
 # st-Wilf classification
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Partition of same-size pattern subsets by statistic polynomials."""
 
     stat: str

@@ -15,9 +15,8 @@ naturally stated as quotients are implemented through their geometric-sum expans
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .engine import SearchCancelled
 from .perms import INV_PRESERVING, Perm, orbit
@@ -113,8 +112,7 @@ def m312_recursive(n: int) -> QTPoly:
 # coefficient parity
 
 
-@dataclass(frozen=True)
-class ParityProfile:
+class ParityProfile(NamedTuple):
     """Constant term plus the parity of every higher coefficient."""
 
     constant: int
@@ -176,8 +174,7 @@ def _maj_132_213(n: int) -> QTPoly:
     return out
 
 
-@dataclass(frozen=True)
-class FormulaEntry:
+class FormulaEntry(NamedTuple):
     """One catalog entry: builder, result kind, and every pattern set whose
     polynomial the formula matches."""
 

@@ -10,9 +10,7 @@ ever wrapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 _COEFF_BOUND = 1 << 63
 
@@ -78,18 +76,46 @@ def _join_terms(terms: list[str]) -> str:
     return out
 
 
+class _Frozen:
+    """Base of the immutable value types, whose fields are their __slots__:
+    a field is set once, by object.__setattr__, and the repr and pickling
+    read the fields in order.  Each type defines its own __eq__ (equal only
+    within its class) and __hash__; dataclasses would import inspect."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials in q
 
 
-@dataclass(frozen=True, slots=True)
-class QPoly:
+class QPoly(_Frozen):
     """Dense integer polynomial in q; coeffs[i] is the coefficient of q^i."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _canonical(list(map(int, self.coeffs))))
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "coeffs", _canonical(list(map(int, coeffs))))
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def _from_list(cs: list[int]) -> "QPoly":
@@ -173,8 +199,9 @@ class QPoly:
         """Set q = 1, recovering the plain count."""
         return _checked(sum(self.coeffs), "count")
 
-    def eval_at(self, q: Union[int, Fraction]) -> Union[int, Fraction]:
-        out: Union[int, Fraction] = 0
+    def eval_at(self, q):
+        """The value at q, an int or a fractions.Fraction, by Horner's rule."""
+        out = 0
         for c in reversed(self.coeffs):
             out = out * q + c
         return out
@@ -214,24 +241,30 @@ def _sum_of_products(pairs: Iterable[tuple["QTPoly", "QTPoly"]]) -> "QTPoly":
     return QTPoly._from_acc(acc)
 
 
-@dataclass(frozen=True, slots=True)
-class QTPoly:
+class QTPoly(_Frozen):
     """Sparse integer polynomial in q and t.
 
     Stored as (q_exp, t_exp, coeff) triples with no zero coefficients,
     sorted lexicographically by (t_exp, q_exp).
     """
 
-    terms: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("terms",)
+    terms: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Iterable[tuple[int, int, int]] = ()) -> None:
         acc: dict[tuple[int, int], int] = {}
-        for qe, te, c in self.terms:
+        for qe, te, c in terms:
             if qe < 0 or te < 0:
                 raise ValueError("exponents must be nonnegative")
             key = (int(te), int(qe))
             acc[key] = acc.get(key, 0) + int(c)
         object.__setattr__(self, "terms", QTPoly._from_acc(acc).terms)
+
+    def __eq__(self, other):
+        return self.terms == other.terms if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def _from_terms(terms: tuple[tuple[int, int, int], ...]) -> "QTPoly":
@@ -335,22 +368,27 @@ class QTPoly:
 # truncated power series in x over QTPoly coefficients
 
 
-@dataclass(frozen=True, slots=True)
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Power series in x modulo x^(order+1); coeffs[i] is the x^i coefficient."""
 
+    __slots__ = ("order", "coeffs")
     order: int
-    coeffs: tuple[QTPoly, ...] = field(default=())
+    coeffs: tuple[QTPoly, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: Iterable[QTPoly] = ()) -> None:
+        if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = tuple(self.coeffs)
-        if len(cs) < self.order + 1:
-            cs = cs + (QTPoly.zero(),) * (self.order + 1 - len(cs))
-        elif len(cs) > self.order + 1:
-            cs = cs[: self.order + 1]
+        # pad with zeros, then cut to order + 1 coefficients
+        cs = (tuple(coeffs) + (QTPoly.zero(),) * (order + 1))[: order + 1]
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", cs)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return (self.order, self.coeffs) == (other.order, other.coeffs) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
 
     @staticmethod
     def one(order: int) -> "TruncatedSeries":

@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import engine, formulas, perms, words
 from .polynomials import QPoly, QTPoly, TruncatedSeries
@@ -28,8 +27,7 @@ Outcomes = Iterator[Outcome]
 Stop = Optional[Callable[[], bool]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     cases: int

@@ -2,7 +2,8 @@
 only at the top of a module, no module but the engine names the engine's
 profile cache, no module but `words` names an explicit bijection, and no
 function of the package drops keyword arguments it does not know into a
-`**_` catch-all.
+`**_` catch-all.  Importing the CLI loads none of `dataclasses`, `inspect`
+or `fractions`, which a bare interpreter does not load.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -11,6 +12,9 @@ exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from patstat import words
@@ -108,6 +112,22 @@ def test_scan_finds_an_import_in_a_function():
     tree = ast.parse("import os\ndef f():\n    import sys\n    return sys\n"
                      "class C:\n    def g(self):\n        from a import b\n")
     assert imports_in_functions(tree) == ["f line 3", "g line 7"]
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules in sys.modules after `python -c code` with patstat on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code + "; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_the_cli_loads_no_dataclasses_inspect_or_fractions():
+    # each loads several more modules (inspect: ast, dis, tokenize; fractions:
+    # decimal), and a short command spends most of its time importing
+    added = loaded_modules("import sys, patstat.cli") - loaded_modules("import sys")
+    heavy = sorted(added & {"dataclasses", "inspect", "fractions"})
+    assert not heavy, f"importing patstat.cli loads {', '.join(heavy)}"
 
 
 def bijection_names(tree: ast.Module, keys) -> list[str]:
