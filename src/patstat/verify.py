@@ -10,14 +10,22 @@ pass, a failure message otherwise, or a tuple of two such outcomes for a
 case that can fail in two ways.  One runner, `_run`, counts the cases, collects the
 failures and polls the deadline before each case.  Failures are returned
 as data so the command line can list them.
+
+A suite's checks share no state, so `_run_suite` may share them out between
+this process and forked workers; it returns the same results, in the same
+order, either way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import marshal
 import math
+import os
 import random
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+import sys
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import engine, formulas, perms, words
 from .polynomials import QPoly, QTPoly, TruncatedSeries
@@ -183,15 +191,17 @@ def _ring_axioms(rng: random.Random) -> Outcomes:
             )
         )
 
+    def axioms_hold(a, b, c) -> bool:
+        # each product is built once
+        ab, bc = a * b, b * c
+        return ((a + b) * c == a * c + bc and ab * c == a * bc
+                and a + b == b + a and ab == b * a)
+
     for _ in range(200):
         a, b, c = rand_qpoly(), rand_qpoly(), rand_qpoly()
-        yield ((a + b) * c == a * c + b * c and (a * b) * c == a * (b * c)
-               and a + b == b + a and a * b == b * a
-               or f"q-polynomial axiom fails on {a}, {b}, {c}")
+        yield axioms_hold(a, b, c) or f"q-polynomial axiom fails on {a}, {b}, {c}"
         x, y, z = rand_qtpoly(), rand_qtpoly(), rand_qtpoly()
-        yield ((x + y) * z == x * z + y * z and (x * y) * z == x * (y * z)
-               and x + y == y + x and x * y == y * x
-               or f"(q,t)-polynomial axiom fails on {x}, {y}, {z}")
+        yield axioms_hold(x, y, z) or f"(q,t)-polynomial axiom fails on {x}, {y}, {z}"
 
 
 def _coefficient_reversal(rng: random.Random) -> Outcomes:
@@ -395,9 +405,12 @@ def _image_characterizations(max_len: int, should_stop: Stop) -> Outcomes:
     claims = [(name, b.words, b.foata) for name, b in words.BIJECTIONS.items() if b.foata]
     images: list[dict[int, set]] = [{} for _ in claims]
     for v in _polled(_words_up_to(max_len), should_stop):
+        rearranged = None  # foata(v), computed once, when v is in some word set
         for (_, member, _), by_len in zip(claims, images):
             if member(v):
-                by_len.setdefault(len(v), set()).add(words.foata(v))
+                if rearranged is None:
+                    rearranged = words.foata(v)
+                by_len.setdefault(len(v), set()).add(rearranged)
     for n in range(max_len + 1):
         all_n = set(itertools.product((0, 1), repeat=n))
         for (name, _, image), by_len in zip(claims, images):
@@ -581,14 +594,127 @@ PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
 )
 
 
+Call = Callable[[], CheckResult]
+#: signal.SIGKILL on Linux, the one system where suites fork; `signal` itself
+#: is not loaded by a bare interpreter, and the CLI's start-up would pay for it
+_SIGKILL = 9
+
+
+def _workers(checks: int, should_stop: Stop) -> int:
+    """How many workers _run_suite forks for a suite of `checks` checks: one
+    fewer than min(usable CPUs, checks) on Linux with os.fork, in a process of
+    one thread (forking one with more is unsafe); 0 elsewhere, and 0 when the
+    caller passes a should_stop, which may count on being polled in order."""
+    if should_stop is not None or sys.platform != "linux" or not hasattr(os, "fork"):
+        return 0
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+    return min(len(os.sched_getaffinity(0)), checks) - 1 if threads == 1 else 0
+
+
+def _claims(fd: int) -> Iterator[int]:
+    """The check indices read one byte at a time from the pipe fd until it is
+    empty; each byte goes to exactly one of the processes that read the pipe."""
+    return (byte[0] for byte in iter(functools.partial(os.read, fd, 1), b""))
+
+
+def _fork_worker(calls: Sequence[Call], claims: int) -> tuple[int, BinaryIO]:
+    """(pid, read end of its report pipe) of a forked worker that runs each
+    check it claims from claims and reports (index, fields of its CheckResult),
+    marshalled, until no check is left or one raises.  Whatever happens the
+    worker leaves by os._exit, so it flushes no buffer it inherited, runs no
+    exit handler and never returns into its parent's code."""
+    reports, out = os.pipe()
+    parent = os.getpid()
+    pid = None
+    try:
+        pid = os.fork()
+        if pid == 0:
+            os.close(reports)  # so that a report to a parent that is gone fails
+            with open(out, "wb", closefd=False) as pipe:
+                for i in _claims(claims):
+                    marshal.dump((i, tuple(calls[i]())), pipe)
+                    pipe.flush()
+    finally:
+        if os.getpid() != parent:
+            os._exit(0)
+        os.close(out)
+        if pid is None:  # the fork failed
+            os.close(reports)
+    return pid, open(reports, "rb")
+
+
+def _reports(pipe: BinaryIO) -> Iterator[tuple[int, CheckResult]]:
+    """The (index, result) pairs on a worker's report pipe, read until the
+    worker has left; a report it was cut off in is dropped."""
+    while True:
+        try:
+            i, fields = marshal.load(pipe)
+        except EOFError:
+            return
+        yield i, CheckResult(*fields)
+
+
+def _run_suite(calls: Sequence[Call], should_stop: Stop) -> list[CheckResult]:
+    """[call() for call in calls], with the checks shared between this process
+    and the workers _workers allows (at most 256 checks).  Each process claims
+    the next unrun check from one pipe of indices.  This process then runs
+    itself every check that no worker reported, because its worker died or
+    the check raised, in order, so it raises what an in-order run raises.
+    Every worker is killed and reaped before this returns or raises."""
+    workers = _workers(len(calls), should_stop)
+    if workers < 1:
+        return [call() for call in calls]
+    results: dict[int, CheckResult] = {}
+    raised: dict[int, Exception] = {}
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(calls))))
+    os.close(feed)
+    forked: dict[int, BinaryIO] = {}
+    try:
+        for _ in range(workers):
+            try:
+                pid, reports = _fork_worker(calls, claims)
+            except OSError:  # no process to spare: this one runs more checks
+                break
+            forked[pid] = reports
+        for i in _claims(claims):
+            try:
+                results[i] = calls[i]()
+            except Exception as exc:  # raised below, in its place in order
+                raised[i] = exc
+                break
+        for pid, reports in forked.items():
+            if raised:
+                os.kill(pid, _SIGKILL)
+            results.update(_reports(reports))
+    finally:
+        os.close(claims)
+        for pid, reports in forked.items():
+            os.kill(pid, _SIGKILL)  # one that has left stays, unreaped, until waitpid
+            os.waitpid(pid, 0)
+            reports.close()
+    for i, call in enumerate(calls):
+        if i in raised:
+            raise raised[i]
+        if i not in results:
+            results[i] = call()
+    return [results[i] for i in range(len(calls))]
+
+
 def run_paper_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
-    """Every paper check in turn; should_stop is polled before each case."""
+    """Every paper check, in PAPER_CHECKS order; should_stop is polled before
+    each case.  Without should_stop the checks may run in forked workers."""
     if nmax < 0:
         raise ValueError("n_max must be nonnegative")
-    return [fn(nmax, should_stop) for _, fn in PAPER_CHECKS]
+    return _run_suite([functools.partial(fn, nmax, should_stop) for _, fn in PAPER_CHECKS],
+                      should_stop)
 
 
 def run_conjecture_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
-    """Every conjecture check in turn; should_stop is polled before each case."""
-    return [conjecture_suite(name, n_max=min(nmax, 8), should_stop=should_stop)
-            for name in CONJECTURE_NAMES]
+    """Every conjecture check, in CONJECTURE_NAMES order; should_stop is polled
+    before each case.  Without should_stop the checks may run in forked workers."""
+    return _run_suite([functools.partial(conjecture_suite, name, min(nmax, 8), should_stop)
+                       for name in CONJECTURE_NAMES], should_stop)

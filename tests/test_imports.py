@@ -3,7 +3,9 @@ only at the top of a module, no module but the engine names the engine's
 profile cache, no module but `words` names an explicit bijection, and no
 function of the package drops keyword arguments it does not know into a
 `**_` catch-all.  Importing the CLI loads none of `dataclasses`, `inspect`
-or `fractions`, which a bare interpreter does not load.
+or `fractions`, which a bare interpreter does not load, and neither
+`import patstat` nor the CLI loads what a process pool would: `pickle`,
+`select`, `signal`, `multiprocessing` or `concurrent.futures`.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -128,6 +130,16 @@ def test_the_cli_loads_no_dataclasses_inspect_or_fractions():
     added = loaded_modules("import sys, patstat.cli") - loaded_modules("import sys")
     heavy = sorted(added & {"dataclasses", "inspect", "fractions"})
     assert not heavy, f"importing patstat.cli loads {', '.join(heavy)}"
+
+
+def test_the_package_loads_no_process_pool_modules():
+    # verify forks its suites' workers with os alone and reports back through
+    # marshal, which every interpreter has loaded before it runs a line
+    bare = loaded_modules("import sys")
+    pools = {"pickle", "select", "signal", "multiprocessing", "concurrent.futures"}
+    for code in ("import sys, patstat", "import sys, patstat.cli"):
+        added = sorted((loaded_modules(code) - bare) & pools)
+        assert not added, f"{code} loads {', '.join(added)}"
 
 
 def bijection_names(tree: ast.Module, keys) -> list[str]:

@@ -1,9 +1,18 @@
 """The verification suites must pass.  Each paper check runs as its own test
 at its full documented range, so the identities it re-derives need no
-second exhaustive test elsewhere."""
+second exhaustive test elsewhere.  Without a should_stop a suite may share
+its checks out between forked workers; the tests at the end compare such
+runs with in-order ones and check that no worker outlives its call."""
 
+import contextlib
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -276,3 +285,193 @@ def test_trivial_inv_wilf_names_unseparated_orbits(monkeypatch):
     monkeypatch.setattr(engine, "classify", lambda *args, **kwargs: split)
     rep = verify.conjecture_suite("trivial-inv-wilf", n_max=5)
     assert rep.failures == ("class ['1243'] != orbit ['1243', '2134']",)
+
+
+# ---------------------------------------------------------------------------
+# suites shared out between forked workers
+
+#: the CPUs this process may run on; a suite forks at most CPUS - 1 workers
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+PAPER_NAMES = [name for name, _ in verify.PAPER_CHECKS]
+
+
+def _workers(checks):
+    """The workers a suite of `checks` checks should fork here."""
+    return min(CPUS, checks) - 1 if sys.platform == "linux" and hasattr(os, "fork") else 0
+
+
+def _in_order(run, nmax):
+    return run(nmax, should_stop=lambda: False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this process during the test."""
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        pids.append(pid)  # a worker appends 0 to its own copy
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.mark.parametrize("run, nmax", [(verify.run_paper_suite, n) for n in range(9)]
+                         + [(verify.run_conjecture_suite, n) for n in range(1, 9)],
+                         ids=[f"paper-{n}" for n in range(9)]
+                         + [f"conjectures-{n}" for n in range(1, 9)])
+def test_a_fanned_suite_matches_its_in_order_run(run, nmax, forks):
+    fanned = run(nmax)
+    assert len(forks) == _workers(len(fanned))
+    assert fanned == _in_order(run, nmax)
+    _assert_no_child_left()
+
+
+def _reversed_at_4_132(stat_poly):
+    def broken(n, pats, *rest, **kwargs):
+        poly = stat_poly(n, pats, *rest, **kwargs)
+        return poly.reverse(n) if (n, pats) == (4, ((1, 3, 2),)) else poly
+    return broken
+
+
+@pytest.mark.parametrize("module, kernel, broken, name, nmax", [
+    (perms, "contains", lambda f: lambda p, q: f(p, q) and (p, q) != ((1, 3, 2), (1, 2)),
+     "containment-under-symmetries", 3),
+    (engine, "stat_poly", _reversed_at_4_132, "inv-polynomial-transport", 4),
+    (words, "foata", lambda f: lambda v: f(v)[:-1] if v == (1, 0, 1) else f(v),
+     "run-rearrangement-bijection", 0),
+], ids=["contains", "stat_poly", "foata"])
+def test_a_fanned_suite_fails_a_broken_kernel_as_its_check_alone(monkeypatch, forks, module,
+                                                                  kernel, broken, name, nmax):
+    # a worker is forked after the monkeypatch, so it runs the broken kernel too
+    monkeypatch.setattr(module, kernel, broken(getattr(module, kernel)))
+    fanned = verify.run_paper_suite(nmax)
+    alone = dict(verify.PAPER_CHECKS)[name](nmax)
+    assert not alone.passed
+    assert fanned[PAPER_NAMES.index(name)] == alone
+    assert fanned == _in_order(verify.run_paper_suite, nmax)
+    assert len(forks) == _workers(len(fanned))
+
+
+@pytest.mark.parametrize("reason", ["one-cpu", "second-thread", "should-stop", "no-fork"])
+def test_a_suite_stays_in_order_when_forking_is_not_safe_or_not_wanted(monkeypatch, reason):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60,))
+    kwargs = {}
+    if reason == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif reason == "second-thread":
+        thread.start()
+    elif reason == "should-stop":
+        kwargs["should_stop"] = lambda: False
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        results = verify.run_paper_suite(3, **kwargs)
+    finally:
+        done.set()
+    if reason == "second-thread":
+        thread.join(60)
+        assert not thread.is_alive()
+    assert [r.cases for r in results] == _CASES[3]
+    assert all(r.passed for r in results)
+
+
+def _waits_here(fn, seconds):
+    """fn, run after a sleep of `seconds` in this process only, so that a
+    worker claims the checks this process would claim meanwhile."""
+    me = os.getpid()
+
+    def check(n, should_stop=None):
+        if os.getpid() == me:
+            time.sleep(seconds)
+        return fn(n, should_stop)
+    return check
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["first-check", "second-check"])
+def test_a_check_that_raises_ends_a_fanned_run_as_it_ends_one_in_order(monkeypatch, capsys,
+                                                                        forks, position):
+    def overflows(n, should_stop=None):
+        raise OverflowError("coefficient 1 exceeds the signed 64-bit range")
+
+    checks = list(verify.PAPER_CHECKS)
+    checks[position] = checks[position][0], overflows
+    if position == 1:  # this process waits in the first check, so a worker runs the second
+        checks[0] = checks[0][0], _waits_here(checks[0][1], 0.2)
+    monkeypatch.setattr(verify, "PAPER_CHECKS", tuple(checks))
+    argv = ["verify", "--suite", "paper", "--nmax", "3"]
+    fanned = cli.main(argv), tuple(capsys.readouterr())
+    assert len(forks) == _workers(len(checks))
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    in_order = cli.main(argv), tuple(capsys.readouterr())
+    assert fanned == in_order == (
+        1, ("", "patstat: integer overflow: coefficient 1 exceeds the signed 64-bit range\n"))
+
+
+def test_checks_of_a_worker_killed_in_a_check_are_run_here(monkeypatch, forks):
+    me = os.getpid()
+    told, tell = os.pipe()
+
+    def dies_in_a_worker(fn):
+        def check(n, should_stop=None):
+            if os.getpid() != me:
+                os.write(tell, b"x")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fn(n, should_stop)
+        return check
+
+    checks = [(name, dies_in_a_worker(fn)) for name, fn in verify.PAPER_CHECKS]
+    checks[0] = checks[0][0], _waits_here(checks[0][1], 0.1)
+    monkeypatch.setattr(verify, "PAPER_CHECKS", tuple(checks))
+    try:
+        results = verify.run_paper_suite(3)
+        os.close(tell)
+        deaths = os.read(told, 64)
+    finally:
+        with contextlib.suppress(OSError):
+            os.close(tell)
+        os.close(told)
+    _assert_no_child_left()
+    assert deaths == b"x" * len(forks) and len(forks) == _workers(len(checks))
+    assert [r.cases for r in results] == _CASES[3]
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("target", ["process", "session"])
+def test_an_interrupt_ends_a_fanned_run_with_its_workers(target):
+    # a session of its own holds the command and every worker it forks
+    proc = subprocess.Popen([sys.executable, "-m", "patstat", "verify", "--suite", "paper",
+                             "--nmax", "9"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        time.sleep(0.3)
+        (os.kill if target == "process" else os.killpg)(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (1, b"", b"patstat: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(60)
+
+
+def test_text_printed_before_a_fanned_run_is_written_once():
+    code = ("from patstat import verify; print('before'); verify.run_paper_suite(1); "
+            "print('after', verify._workers(len(verify.PAPER_CHECKS), None))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout == f"before\nafter {_workers(len(PAPER_NAMES))}\n"
