@@ -76,6 +76,26 @@ def test_paper_suite_output_is_pinned(nmax, fmt, capsys):
         0, _PAPER_OUTPUT_SHA1[nmax, fmt], "")
 
 
+#: (exit code, SHA-1 of the stdout) of `verify --suite conjectures --nmax N
+#: --format F`; at --nmax 3 trivial-inv-wilf cannot yet separate the orbits.
+_CONJECTURE_OUTPUT_SHA1 = {
+    (3, "text"): (1, "9ff7d7e0f27b01265300eeaaaea1c214ea12aecf"),
+    (3, "json"): (1, "7836136c4df579a47ea297df3c0bb6301537e1c6"),
+    (6, "text"): (0, "7e63e6bbacc65e779ac10014eea3d6f92d1f3b06"),
+    (6, "json"): (0, "166724769d7e735e0e982a969a03654a068b94fe"),
+    (8, "text"): (0, "513b0794654e5d882722f7c8f9f0dbecd9a9beae"),
+    (8, "json"): (0, "5bcd7437aeb83a62f956617f246eb25bedf81d51"),
+}
+
+
+@pytest.mark.parametrize("nmax, fmt", sorted(_CONJECTURE_OUTPUT_SHA1))
+def test_conjecture_suite_output_is_pinned(nmax, fmt, capsys):
+    code = cli.main(["verify", "--suite", "conjectures", "--nmax", str(nmax), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha1(out.encode()).hexdigest(), err) == (
+        *_CONJECTURE_OUTPUT_SHA1[nmax, fmt], "")
+
+
 def _plus_one_at(p0):
     return lambda f: lambda p: f(p) + (p == p0)
 
