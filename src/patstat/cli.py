@@ -51,7 +51,7 @@ def _show_poly(fmt: str, p, meta: dict) -> None:
 
 
 def _deadline_checker(limit: Optional[float]) -> Optional[Callable[[], bool]]:
-    if limit is None:
+    if limit is None or limit == float("inf"):  # no deadline, so nothing to poll
         return None
     deadline = time.monotonic() + limit
     return lambda: time.monotonic() > deadline

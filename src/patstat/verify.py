@@ -466,12 +466,9 @@ def _inv_symmetry_orbit(p: perms.Perm) -> tuple[perms.Perm, ...]:
     return tuple(q for q, in perms.orbit((p,), perms.INV_PRESERVING))
 
 
-def _trivial_inv_wilf(n_max: int, should_stop: Stop, pattern_length: int = 4) -> Outcomes:
-    # singleton inversion classes should coincide with orbits under the
-    # inv-preserving symmetries; classify needs a bound of at least the
-    # pattern length
-    bound = max(n_max, pattern_length)
-    report = engine.classify(pattern_length, 1, "inv", bound, should_stop=should_stop)
+def _trivial_inv_wilf(n_max: int, k: int, should_stop: Stop) -> Outcomes:
+    # the singleton inv classes of S_k should be the orbits of the inv-preserving symmetries
+    report = engine.classify(k, 1, "inv", n_max, should_stop=should_stop)
     for cls in report.classes:
         members = tuple(sorted(s[0] for s in cls))
         # orbits[0] is the orbit of members[0], the least member
@@ -485,13 +482,13 @@ def _trivial_inv_wilf(n_max: int, should_stop: Stop, pattern_length: int = 4) ->
             # symmetry keeps orbits whole, so several orbits in one class
             # only means the bound is too small to tell them apart
             yield (f"class {names} joins orbits {', '.join(map(str, orbit_names))}: "
-                   f"not separated up to n_max={bound}")
+                   f"not separated up to n_max={n_max}")
         else:
             yield f"class {names} != orbit {orbit_names[0]}"
 
 
-def _maj_polys_agree(n_max: int, left: perms.Perm, right: perms.Perm, should_stop: Stop,
-                     note: str = "") -> Outcomes:
+def _maj_polys_agree(n_max: int, left: perms.Perm, right: perms.Perm, note: str,
+                     should_stop: Stop) -> Outcomes:
     for n in range(n_max + 1):
         yield (engine.stat_poly(n, (left,), "maj", should_stop)
                == engine.stat_poly(n, (right,), "maj", should_stop)
@@ -499,21 +496,21 @@ def _maj_polys_agree(n_max: int, left: perms.Perm, right: perms.Perm, should_sto
                f"{perms.format_perm(left)} vs {perms.format_perm(right)}{note}")
 
 
-def _inflation_maj(n_max: int, should_stop: Stop, max_inflation_length: int = 6) -> Outcomes:
-    for total in range(1, max_inflation_length + 1):
+def _inflation_maj(n_max: int, max_total: int, should_stop: Stop) -> Outcomes:
+    for total in range(1, max_total + 1):
         for m in range(total):
             k = total - 1 - m
             comps = (perms.increasing(m), (1,), perms.decreasing(k))
             yield from _maj_polys_agree(
                 n_max, perms.inflate((1, 3, 2), comps), perms.inflate((2, 3, 1), comps),
-                should_stop, f" (m={m}, k={k})")
+                f" (m={m}, k={k})", should_stop)
 
 
 def _sporadic_maj(n_max: int, should_stop: Stop) -> Outcomes:
     for base, *others in (((1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3)),
                           ((3, 1, 4, 2), (3, 2, 4, 1), (4, 1, 3, 2))):
         for other in others:
-            yield from _maj_polys_agree(n_max, base, other, should_stop)
+            yield from _maj_polys_agree(n_max, base, other, "", should_stop)
 
 
 def _i321_recursion(n_max: int, should_stop: Stop) -> Outcomes:
@@ -522,50 +519,26 @@ def _i321_recursion(n_max: int, should_stop: Stop) -> Outcomes:
                or f"recursion disagrees with brute force at n={n}")
 
 
-def _maj_parity(n_max: int, should_stop: Stop,
-                parity_lengths: tuple[int, ...] = (1, 3, 7)) -> Outcomes:
-    # the parity is claimed at lengths n = 2^k - 1 only, so n_max is not read
-    for n in parity_lengths:
+def _maj_parity(lengths: tuple[int, ...], should_stop: Stop) -> Outcomes:
+    for n in lengths:
         prof = formulas.parity_profile(engine.stat_poly(n, ((3, 2, 1),), "maj", should_stop))
         yield prof.holds or f"maj parity fails at n={n}: odd exponents {prof.odd_exponents}"
-
-
-_CONJECTURES: dict[str, Callable[..., Outcomes]] = {
-    "trivial-inv-wilf": _trivial_inv_wilf,
-    "inflation-maj": _inflation_maj,
-    "sporadic-maj": _sporadic_maj,
-    "i321-recursion": _i321_recursion,
-    "maj-parity": _maj_parity,
-}
-CONJECTURE_NAMES = tuple(_CONJECTURES)
-
-
-def conjecture_suite(name: str, n_max: int = 8, should_stop: Stop = None,
-                     **bounds) -> CheckResult:
-    """Re-verify one conjecture empirically inside n_max and its own keyword
-    bound, if it has one: pattern_length (trivial-inv-wilf), max_inflation_length
-    (inflation-maj) or parity_lengths (maj-parity); another raises TypeError.
-    Failures are reported verbatim as data, never raised.
-    """
-    if name not in _CONJECTURES:
-        raise ValueError(f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return _run(name, _CONJECTURES[name](n_max, should_stop, **bounds), should_stop)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def _check(name: str,
-           outcomes: Callable[[int, Stop], Outcomes]) -> tuple[str, Callable[..., CheckResult]]:
-    """A PAPER_CHECKS entry: fn(nmax, should_stop=None) runs outcomes(nmax, should_stop),
-    which hands should_stop on to the engine, so that a long case stops inside it."""
+Check = tuple[str, Callable[..., CheckResult]]
+
+
+def _check(name: str, outcomes: Callable[[int, Stop], Outcomes]) -> Check:
+    """A PAPER_CHECKS or CONJECTURE_CHECKS row: fn(nmax, should_stop=None) runs outcomes(nmax,
+    should_stop), which hands should_stop on to the engine, so that a long case stops inside it."""
     return name, lambda n, should_stop=None: _run(name, outcomes(n, should_stop), should_stop)
 
 
-PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
+PAPER_CHECKS: tuple[Check, ...] = (
     _check("inv-under-symmetries", lambda n, _: _inv_symmetry(min(n, 7))),
     _check("maj-under-complement", lambda n, _: _maj_complement(min(n, 7))),
     _check("containment-under-symmetries", lambda n, _: _containment_transport(min(n, 6))),
@@ -592,6 +565,28 @@ PAPER_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
     _check("word-generating-functions", lambda n, stop: _word_transport(min(n + 2, 10), stop)),
     _check("bijection-suite", lambda n, stop: _bijection_suite(min(n, 8), min(n + 1, 9), stop)),
 )
+
+CONJECTURE_CHECKS: tuple[Check, ...] = (
+    # classify needs a bound of at least the pattern length
+    _check("trivial-inv-wilf", lambda n, stop: _trivial_inv_wilf(max(n, 4), 4, stop)),
+    _check("inflation-maj", lambda n, stop: _inflation_maj(n, 6, stop)),
+    _check("sporadic-maj", _sporadic_maj),
+    _check("i321-recursion", _i321_recursion),
+    # the parity is claimed at lengths n = 2^k - 1 only, so n is not read
+    _check("maj-parity", lambda n, stop: _maj_parity((1, 3, 7), stop)),
+)
+CONJECTURE_NAMES = tuple(name for name, _ in CONJECTURE_CHECKS)
+
+
+def conjecture_suite(name: str, n_max: int = 8, should_stop: Stop = None) -> CheckResult:
+    """Re-verify one conjecture empirically inside n_max and the bounds of its
+    CONJECTURE_CHECKS row.  Failures are reported verbatim as data, never raised."""
+    checks = dict(CONJECTURE_CHECKS)
+    if name not in checks:
+        raise ValueError(f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return checks[name](n_max, should_stop)
 
 
 Call = Callable[[], CheckResult]
@@ -704,17 +699,21 @@ def _run_suite(calls: Sequence[Call], should_stop: Stop) -> list[CheckResult]:
     return [results[i] for i in range(len(calls))]
 
 
-def run_paper_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
-    """Every paper check, in PAPER_CHECKS order; should_stop is polled before
-    each case.  Without should_stop the checks may run in forked workers."""
+def _run_checks(checks: Sequence[Check], nmax: int, should_stop: Stop) -> list[CheckResult]:
+    """Every check of checks at nmax, through _run_suite; a negative nmax is refused first."""
     if nmax < 0:
         raise ValueError("n_max must be nonnegative")
-    return _run_suite([functools.partial(fn, nmax, should_stop) for _, fn in PAPER_CHECKS],
+    return _run_suite([functools.partial(fn, nmax, should_stop) for _, fn in checks],
                       should_stop)
 
 
+def run_paper_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
+    """Every paper check, in PAPER_CHECKS order; should_stop is polled before
+    each case.  Without should_stop the checks may run in forked workers."""
+    return _run_checks(PAPER_CHECKS, nmax, should_stop)
+
+
 def run_conjecture_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
-    """Every conjecture check, in CONJECTURE_NAMES order; should_stop is polled
-    before each case.  Without should_stop the checks may run in forked workers."""
-    return _run_suite([functools.partial(conjecture_suite, name, min(nmax, 8), should_stop)
-                       for name in CONJECTURE_NAMES], should_stop)
+    """Every conjecture check at min(nmax, 8), in CONJECTURE_CHECKS order; should_stop is
+    polled before each case.  Without should_stop the checks may run in forked workers."""
+    return _run_checks(CONJECTURE_CHECKS, min(nmax, 8), should_stop)

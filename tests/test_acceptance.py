@@ -307,9 +307,9 @@ def test_criterion_11_bijection_suite():
 
 
 def test_criterion_12_conjectures():
-    trivial = verify.conjecture_suite("trivial-inv-wilf", n_max=8, pattern_length=4)
+    trivial = verify.conjecture_suite("trivial-inv-wilf", n_max=8)
     assert trivial.passed, trivial.failures
-    inflation = verify.conjecture_suite("inflation-maj", n_max=8, max_inflation_length=6)
+    inflation = verify.conjecture_suite("inflation-maj", n_max=8)
     assert inflation.passed, inflation.failures
     sporadic = verify.conjecture_suite("sporadic-maj", n_max=8)
     assert sporadic.passed, sporadic.failures

@@ -610,17 +610,17 @@ def test_mahonian_pair_checks():
 
 
 def test_conjecture_suite_smoke():
-    # S_3 singletons separate already at small n; the S_4 run at its
-    # documented bound n_max=8 lives in the acceptance suite
-    rep = verify.conjecture_suite("trivial-inv-wilf", n_max=5, pattern_length=3)
+    # S_4 singletons separate from n = 6 on; the runs at the documented
+    # bound n_max=8 live in the acceptance suite
+    rep = verify.conjecture_suite("trivial-inv-wilf", n_max=6)
     assert rep.passed and rep.cases > 0
-    rep = verify.conjecture_suite("inflation-maj", n_max=5, max_inflation_length=4)
+    rep = verify.conjecture_suite("inflation-maj", n_max=5)
     assert rep.passed
     rep = verify.conjecture_suite("sporadic-maj", n_max=6)
     assert rep.passed
     rep = verify.conjecture_suite("i321-recursion", n_max=7)
     assert rep.passed
-    rep = verify.conjecture_suite("maj-parity", parity_lengths=(1, 3))
+    rep = verify.conjecture_suite("maj-parity")
     assert rep.passed
     with pytest.raises(ValueError):
         verify.conjecture_suite("gondola")

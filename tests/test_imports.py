@@ -2,10 +2,12 @@
 only at the top of a module, no module but the engine names the engine's
 profile cache, no module but `words` names an explicit bijection, and no
 function of the package drops keyword arguments it does not know into a
-`**_` catch-all.  Importing the CLI loads none of `dataclasses`, `inspect`
-or `fractions`, which a bare interpreter does not load, and neither
-`import patstat` nor the CLI loads what a process pool would: `pickle`,
-`select`, `signal`, `multiprocessing` or `concurrent.futures`.
+`**_` catch-all.  No check of `verify` gives a parameter a default, so its
+bounds are written only in its row of a suite.  Importing the CLI loads
+none of `dataclasses`, `inspect` or `fractions`, which a bare interpreter
+does not load, and neither `import patstat` nor the CLI loads what a
+process pool would: `pickle`, `select`, `signal`, `multiprocessing` or
+`concurrent.futures`.
 
 No linter is assumed, so this scans the sources with ast: an import binds
 names, and a name that no expression of the module loads is unused.  The
@@ -94,6 +96,27 @@ def test_no_function_of_the_package_takes_a_catch_all():
 def test_scan_finds_a_catch_all():
     tree = ast.parse("def f(a, **_): pass\ndef g(**kw): pass\nh = lambda **_: 0\n")
     assert catch_alls(tree) == ["f", "<lambda>"]
+
+
+def defaulted_checks(tree: ast.Module) -> list[str]:
+    """The functions annotated `-> Outcomes` with a parameter default: a
+    default is a second place for a check's bound, besides its suite row."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and isinstance(node.returns, ast.Name) and node.returns.id == "Outcomes"
+            and (node.args.defaults or any(d is not None for d in node.args.kw_defaults))]
+
+
+def test_no_check_of_verify_has_a_parameter_default():
+    path = ROOT / "src" / "patstat" / "verify.py"
+    assert defaulted_checks(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_scan_finds_a_check_with_a_parameter_default():
+    tree = ast.parse("def f(n, k=4) -> Outcomes: pass\ndef g(n, *, k=4) -> Outcomes: pass\n"
+                     "def h(n, k=4) -> int: pass\ndef i(n, k) -> Outcomes: pass\n"
+                     "def j(n, *, k) -> Outcomes: pass\n")
+    assert defaulted_checks(tree) == ["f", "g"]
 
 
 def imports_in_functions(tree: ast.Module) -> list[str]:

@@ -354,6 +354,25 @@ def test_a_fanned_suite_matches_its_in_order_run(run, nmax, forks):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("run", [verify.run_paper_suite, verify.run_conjecture_suite],
+                         ids=["paper", "conjectures"])
+def test_a_negative_nmax_is_refused_before_anything_forks(run, forks):
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        run(-1)
+    assert forks == []
+
+
+def test_a_limit_of_inf_forks_as_no_limit_does(forks, capsys):
+    # an infinite deadline is no deadline, so the suite need not run in order
+    runs = []
+    for limit in ([], ["--limit-seconds", "inf"]):
+        forks.clear()
+        code = cli.main(["verify", "--suite", "conjectures", "--nmax", "6"] + limit)
+        runs.append((code, capsys.readouterr(), len(forks)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == _workers(len(verify.CONJECTURE_CHECKS))
+
+
 def _reversed_at_4_132(stat_poly):
     def broken(n, pats, *rest, **kwargs):
         poly = stat_poly(n, pats, *rest, **kwargs)
