@@ -13,7 +13,8 @@ as data so the command line can list them.
 
 A suite's checks share no state, so `_run_suite` may share them out between
 this process and forked workers; it returns the same results, in the same
-order, either way.
+order, either way.  A should_stop is polled in whichever process runs the
+case, so it must answer alike in every process, as a clock deadline does.
 """
 
 from __future__ import annotations
@@ -595,12 +596,11 @@ Call = Callable[[], CheckResult]
 _SIGKILL = 9
 
 
-def _workers(checks: int, should_stop: Stop) -> int:
+def _workers(checks: int) -> int:
     """How many workers _run_suite forks for a suite of `checks` checks: one
     fewer than min(usable CPUs, checks) on Linux with os.fork, in a process of
-    one thread (forking one with more is unsafe); 0 elsewhere, and 0 when the
-    caller passes a should_stop, which may count on being polled in order."""
-    if should_stop is not None or sys.platform != "linux" or not hasattr(os, "fork"):
+    one thread (forking one with more is unsafe); 0 elsewhere."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
         return 0
     try:
         threads = len(os.listdir("/proc/self/task"))
@@ -652,16 +652,14 @@ def _reports(pipe: BinaryIO) -> Iterator[tuple[int, CheckResult]]:
         yield i, CheckResult(*fields)
 
 
-def _run_suite(calls: Sequence[Call], should_stop: Stop) -> list[CheckResult]:
+def _run_suite(calls: Sequence[Call]) -> list[CheckResult]:
     """[call() for call in calls], with the checks shared between this process
     and the workers _workers allows (at most 256 checks).  Each process claims
-    the next unrun check from one pipe of indices.  This process then runs
-    itself every check that no worker reported, because its worker died or
-    the check raised, in order, so it raises what an in-order run raises.
-    Every worker is killed and reaped before this returns or raises."""
-    workers = _workers(len(calls), should_stop)
-    if workers < 1:
-        return [call() for call in calls]
+    the next unrun check from one pipe of indices, so with no worker this
+    process claims them all, in order.  It then runs itself every check that
+    no worker reported, because its worker died or the check raised, in
+    order, so it raises what an in-order run raises.  Every worker is killed
+    and reaped before this returns or raises."""
     results: dict[int, CheckResult] = {}
     raised: dict[int, Exception] = {}
     claims, feed = os.pipe()
@@ -669,7 +667,7 @@ def _run_suite(calls: Sequence[Call], should_stop: Stop) -> list[CheckResult]:
     os.close(feed)
     forked: dict[int, BinaryIO] = {}
     try:
-        for _ in range(workers):
+        for _ in range(_workers(len(calls))):
             try:
                 pid, reports = _fork_worker(calls, claims)
             except OSError:  # no process to spare: this one runs more checks
@@ -703,17 +701,18 @@ def _run_checks(checks: Sequence[Check], nmax: int, should_stop: Stop) -> list[C
     """Every check of checks at nmax, through _run_suite; a negative nmax is refused first."""
     if nmax < 0:
         raise ValueError("n_max must be nonnegative")
-    return _run_suite([functools.partial(fn, nmax, should_stop) for _, fn in checks],
-                      should_stop)
+    return _run_suite([functools.partial(fn, nmax, should_stop) for _, fn in checks])
 
 
 def run_paper_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
-    """Every paper check, in PAPER_CHECKS order; should_stop is polled before
-    each case.  Without should_stop the checks may run in forked workers."""
+    """Every paper check, in PAPER_CHECKS order, perhaps in forked workers;
+    should_stop is polled before each case in the process that runs it, so it
+    must answer alike in every process, as a clock deadline does and a counter
+    or a flag set in this process only does not."""
     return _run_checks(PAPER_CHECKS, nmax, should_stop)
 
 
 def run_conjecture_suite(nmax: int = 8, should_stop: Stop = None) -> list[CheckResult]:
-    """Every conjecture check at min(nmax, 8), in CONJECTURE_CHECKS order; should_stop is
-    polled before each case.  Without should_stop the checks may run in forked workers."""
+    """Every conjecture check at min(nmax, 8), in CONJECTURE_CHECKS order,
+    perhaps in forked workers; should_stop is polled as run_paper_suite says."""
     return _run_checks(CONJECTURE_CHECKS, min(nmax, 8), should_stop)

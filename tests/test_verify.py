@@ -1,8 +1,9 @@
 """The verification suites must pass.  Each paper check runs as its own test
 at its full documented range, so the identities it re-derives need no
-second exhaustive test elsewhere.  Without a should_stop a suite may share
-its checks out between forked workers; the tests at the end compare such
-runs with in-order ones and check that no worker outlives its call."""
+second exhaustive test elsewhere.  A suite may share its checks out between
+forked workers, with or without a should_stop; the tests at the end compare
+such runs with in-order ones on one CPU and check that no worker outlives
+its call."""
 
 import contextlib
 import hashlib
@@ -155,7 +156,9 @@ def test_conjecture_suite_passes():
     [(verify.run_paper_suite, 3), (verify.run_conjecture_suite, 5)],
     ids=["paper", "conjectures"],
 )
-def test_deadline_is_polled_before_each_case(run, nmax):
+def test_deadline_is_polled_before_each_case(monkeypatch, run, nmax):
+    # on one CPU every case is polled in this process, so the calls can be counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = 0
 
     def should_stop():
@@ -321,7 +324,10 @@ def _workers(checks):
 
 
 def _in_order(run, nmax):
-    return run(nmax, should_stop=lambda: False)
+    """run(nmax) on one CPU, where this process runs every check in order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return run(nmax)
 
 
 def _assert_no_child_left():
@@ -363,14 +369,45 @@ def test_a_negative_nmax_is_refused_before_anything_forks(run, forks):
 
 
 def test_a_limit_of_inf_forks_as_no_limit_does(forks, capsys):
-    # an infinite deadline is no deadline, so the suite need not run in order
+    # a deadline, infinite or not, is polled alike in every process, so the suite
+    # forks as it does without one
     runs = []
-    for limit in ([], ["--limit-seconds", "inf"]):
+    for limit in ([], ["--limit-seconds", "inf"], ["--limit-seconds", "600"]):
         forks.clear()
         code = cli.main(["verify", "--suite", "conjectures", "--nmax", "6"] + limit)
         runs.append((code, capsys.readouterr(), len(forks)))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == 0 and runs[0][2] == _workers(len(verify.CONJECTURE_CHECKS))
+
+
+@pytest.mark.parametrize("run, nmax",
+                         [(verify.run_paper_suite, 3), (verify.run_conjecture_suite, 5)],
+                         ids=["paper", "conjectures"])
+def test_a_fanned_suite_polls_before_each_case_in_the_process_that_runs_it(tmp_path, forks,
+                                                                           run, nmax):
+    # every process appends one byte per poll to the same file
+    polls = os.open(tmp_path / "polls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def should_stop():
+        os.write(polls, b"x")
+        return False
+
+    try:
+        fanned = run(nmax, should_stop=should_stop)
+    finally:
+        os.close(polls)
+    assert len(forks) == _workers(len(fanned))
+    _assert_no_child_left()
+    assert (tmp_path / "polls").stat().st_size >= sum(r.cases for r in fanned)
+    assert fanned == _in_order(run, nmax)
+
+
+def test_a_deadline_that_fires_mid_suite_ends_every_process(forks):
+    deadline = time.monotonic() + 0.3
+    with pytest.raises(engine.SearchCancelled):
+        verify.run_paper_suite(9, should_stop=lambda: time.monotonic() > deadline)
+    assert len(forks) == _workers(len(verify.PAPER_CHECKS))
+    _assert_no_child_left()
 
 
 def _reversed_at_4_132(stat_poly):
@@ -399,7 +436,7 @@ def test_a_fanned_suite_fails_a_broken_kernel_as_its_check_alone(monkeypatch, fo
     assert len(forks) == _workers(len(fanned))
 
 
-@pytest.mark.parametrize("reason", ["one-cpu", "second-thread", "should-stop", "no-fork"])
+@pytest.mark.parametrize("reason", ["one-cpu", "second-thread", "no-fork"])
 def test_a_suite_stays_in_order_when_forking_is_not_safe_or_not_wanted(monkeypatch, reason):
     def fork():
         raise AssertionError("os.fork called")
@@ -407,17 +444,14 @@ def test_a_suite_stays_in_order_when_forking_is_not_safe_or_not_wanted(monkeypat
     monkeypatch.setattr(os, "fork", fork)
     done = threading.Event()
     thread = threading.Thread(target=done.wait, args=(60,))
-    kwargs = {}
     if reason == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif reason == "second-thread":
         thread.start()
-    elif reason == "should-stop":
-        kwargs["should_stop"] = lambda: False
     else:
         monkeypatch.delattr(os, "fork")
     try:
-        results = verify.run_paper_suite(3, **kwargs)
+        results = verify.run_paper_suite(3)
     finally:
         done.set()
     if reason == "second-thread":
@@ -439,14 +473,15 @@ def _waits_here(fn, seconds):
     return check
 
 
+def _overflows(n, should_stop=None):
+    raise OverflowError("coefficient 1 exceeds the signed 64-bit range")
+
+
 @pytest.mark.parametrize("position", [0, 1], ids=["first-check", "second-check"])
 def test_a_check_that_raises_ends_a_fanned_run_as_it_ends_one_in_order(monkeypatch, capsys,
                                                                         forks, position):
-    def overflows(n, should_stop=None):
-        raise OverflowError("coefficient 1 exceeds the signed 64-bit range")
-
     checks = list(verify.PAPER_CHECKS)
-    checks[position] = checks[position][0], overflows
+    checks[position] = checks[position][0], _overflows
     if position == 1:  # this process waits in the first check, so a worker runs the second
         checks[0] = checks[0][0], _waits_here(checks[0][1], 0.2)
     monkeypatch.setattr(verify, "PAPER_CHECKS", tuple(checks))
@@ -458,6 +493,31 @@ def test_a_check_that_raises_ends_a_fanned_run_as_it_ends_one_in_order(monkeypat
     in_order = cli.main(argv), tuple(capsys.readouterr())
     assert fanned == in_order == (
         1, ("", "patstat: integer overflow: coefficient 1 exceeds the signed 64-bit range\n"))
+
+
+def test_a_worker_busy_when_this_process_raises_is_not_waited_for(monkeypatch, forks):
+    # this process waits in check 0, so a worker claims check 1 and sleeps
+    # there; check 2 then raises here, and the run must end that worker
+    me = os.getpid()
+
+    def sleeps_in_a_worker(fn):
+        def check(n, should_stop=None):
+            if os.getpid() != me:
+                time.sleep(30)
+            return fn(n, should_stop)
+        return check
+
+    checks = list(verify.PAPER_CHECKS)
+    checks[0] = checks[0][0], _waits_here(checks[0][1], 0.2)
+    checks[1] = checks[1][0], sleeps_in_a_worker(checks[1][1])
+    checks[2] = checks[2][0], _overflows
+    monkeypatch.setattr(verify, "PAPER_CHECKS", tuple(checks))
+    start = time.monotonic()
+    with pytest.raises(OverflowError):
+        verify.run_paper_suite(3)
+    assert time.monotonic() - start < 10
+    assert len(forks) == _workers(len(checks))
+    _assert_no_child_left()
 
 
 def test_checks_of_a_worker_killed_in_a_check_are_run_here(monkeypatch, forks):
@@ -489,17 +549,18 @@ def test_checks_of_a_worker_killed_in_a_check_are_run_here(monkeypatch, forks):
     assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("target", ["process", "session"])
-def test_an_interrupt_ends_a_fanned_run_with_its_workers(target):
-    # a session of its own holds the command and every worker it forks
+def _ends_with_its_workers(flags, end, stderr):
+    """Run `patstat verify --suite paper --nmax 9` with flags in a session of
+    its own, which holds the command and every worker it forks; end(pid) is
+    called once it has started.  It must exit 1 with stderr alone, leaving no
+    process in its session."""
     proc = subprocess.Popen([sys.executable, "-m", "patstat", "verify", "--suite", "paper",
-                             "--nmax", "9"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
+                             "--nmax", "9"] + flags, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, start_new_session=True)
     try:
-        time.sleep(0.3)
-        (os.kill if target == "process" else os.killpg)(proc.pid, signal.SIGINT)
+        end(proc.pid)
         out, err = proc.communicate(timeout=60)
-        assert (proc.returncode, out, err) == (1, b"", b"patstat: interrupted\n")
+        assert (proc.returncode, out, err) == (1, b"", stderr)
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
     finally:
@@ -508,9 +569,23 @@ def test_an_interrupt_ends_a_fanned_run_with_its_workers(target):
         proc.wait(60)
 
 
+@pytest.mark.parametrize("target", ["process", "session"])
+def test_an_interrupt_ends_a_fanned_run_with_its_workers(target):
+    def interrupt(pid):
+        time.sleep(0.3)
+        (os.kill if target == "process" else os.killpg)(pid, signal.SIGINT)
+
+    _ends_with_its_workers([], interrupt, b"patstat: interrupted\n")
+
+
+def test_a_time_limit_that_fires_mid_suite_ends_the_command_with_its_workers():
+    _ends_with_its_workers(["--limit-seconds", "0.3"], lambda pid: None,
+                           b"patstat: time limit exceeded, partial results suppressed\n")
+
+
 def test_text_printed_before_a_fanned_run_is_written_once():
     code = ("from patstat import verify; print('before'); verify.run_paper_suite(1); "
-            "print('after', verify._workers(len(verify.PAPER_CHECKS), None))")
+            "print('after', verify._workers(len(verify.PAPER_CHECKS)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout == f"before\nafter {_workers(len(PAPER_NAMES))}\n"
