@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="partition pattern subsets by polynomial equality")
     p.add_argument("--k", type=int, required=True, help="pattern length (ground set S_k)")
     p.add_argument("--size", type=int, required=True, help="subset size")
-    p.add_argument("--stat", choices=("inv", "maj", "maj-des"), required=True)
+    p.add_argument("--stat", choices=engine._CLASSIFY_STATS, required=True)
     p.add_argument("--nmax", type=int, required=True)
     _add_common(p)
 

@@ -534,7 +534,10 @@ def maj_des_poly(n: int, patterns: Iterable[Sequence[int]],
 
 def stat_multiset(patterns: Iterable[Sequence[int]], stat: str) -> tuple[int, ...]:
     """Sorted multiset of the statistic over the patterns themselves."""
-    fn = {"inv": perms.inv, "maj": perms.maj, "des": perms.des}[stat]
+    stats = {"inv": perms.inv, "maj": perms.maj, "des": perms.des}
+    if stat not in stats:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {tuple(stats)}")
+    fn = stats[stat]
     return tuple(sorted(fn(p) for p in canonical_patterns(patterns)))
 
 

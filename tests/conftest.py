@@ -2,14 +2,28 @@
 
 Containment here is re-derived from raw subsequence scans and avoidance
 sets from filtering itertools.permutations, so the engine and the closed
-forms are always checked against a second, dumber route.
+forms are always checked against a second, dumber route.  The brute
+profile of a set of patterns lives here, in two parts:
+
+- `scan(n)` holds, for each q in S_n, one bit per pattern of S3 and S4
+  that q contains, and q's inv, maj and des.  Up to n = 5 the bits come
+  from raw `patterns_of` (`raw_scan`); past that they are the OR of the
+  bits of q's deletions of its first five entries, since a copy of at most
+  four entries misses one of them.  `brute_profile` reads Av_n and its
+  polynomials off the scan.
+- `tally(perms)` gives the inv QPoly and the maj/des QTPoly of any list
+  of permutations, from `inv_brute`, `maj_brute` and `des_brute`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from collections import Counter
 from typing import Iterable, Sequence
+
+from patstat.polynomials import QPoly, QTPoly
 
 
 def contains_brute(p: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -91,3 +105,57 @@ def des_brute(p: Sequence[int]) -> int:
 
 def words_of_length(n: int):
     return itertools.product((0, 1), repeat=n)
+
+
+def _stats(p: tuple[int, ...]) -> tuple[int, int, int]:
+    return inv_brute(p), maj_brute(p), des_brute(p)
+
+
+def _polys(stats: Counter) -> tuple[QPoly, QTPoly]:
+    inv, majdes = Counter(), Counter()
+    for (i, m, d), c in stats.items():
+        inv[i] += c
+        majdes[m, d] += c
+    return QPoly([inv[i] for i in range(max(inv, default=-1) + 1)]), QTPoly.from_counts(majdes)
+
+
+def tally(perms: Iterable[tuple[int, ...]]) -> tuple[QPoly, QTPoly]:
+    return _polys(Counter(map(_stats, perms)))
+
+
+_BIT = {p: 1 << i for i, p in enumerate(itertools.chain(itertools.permutations((1, 2, 3)),
+                                                        itertools.permutations((1, 2, 3, 4))))}
+
+
+def raw_scan(n: int) -> dict[tuple[int, ...], tuple[int, tuple[int, int, int]]]:
+    """{q: (pattern bits of q, (inv, maj, des) of q)} for each q in S_n, in
+    lexicographic order, with the bits from raw `patterns_of`."""
+    return {q: (sum(_BIT[p] for p in patterns_of(q, 3) | patterns_of(q, 4)), _stats(q))
+            for q in itertools.permutations(range(1, n + 1))}
+
+
+@functools.lru_cache(maxsize=None)
+def scan(n: int) -> dict[tuple[int, ...], tuple[int, tuple[int, int, int]]]:
+    """`raw_scan(n)`, with the bits read off the deletions past n = 5."""
+    if n <= 5:
+        return raw_scan(n)
+    below = scan(n - 1)
+    return {q: (functools.reduce(operator.or_, [below[tuple(x - (x > v) for x in q if x != v)][0]
+                                                for v in q[:5]]), _stats(q))
+            for q in itertools.permutations(range(1, n + 1))}
+
+
+def _mask(patterns: Iterable[Sequence[int]]) -> int:
+    return sum({_BIT[tuple(p)] for p in patterns})
+
+
+def scan_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    mask = _mask(patterns)
+    return [q for q, (bits, _) in scan(n).items() if not bits & mask]
+
+
+def brute_profile(n: int, patterns: Iterable[Sequence[int]]):
+    """(Av_n(patterns), its inv QPoly, its maj/des QTPoly), for patterns from S3 and S4."""
+    mask = _mask(patterns)
+    rows = [(q, stats) for q, (bits, stats) in scan(n).items() if not bits & mask]
+    return ([q for q, _ in rows], *_polys(Counter(stats for _, stats in rows)))

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_avoiders, des_brute, grown_avoiders, inv_brute, maj_brute,
-                      patterns_of)
+from conftest import (brute_avoiders, brute_profile, grown_avoiders, raw_scan, scan,
+                      scan_avoiders, tally)
 from patstat import engine, perms, verify
 from patstat.engine import AvoidanceQuery, SearchCancelled
 from patstat.polynomials import QPoly, QTPoly
@@ -68,29 +68,8 @@ def test_enumerate_matches_brute_filter():
     sets = [s for r in (1, 2, 3) for s in itertools.combinations(S3, r)]
     sets += itertools.product(S3, S4)
     for n in range(8):
-        occurs = {q: patterns_of(q, 3) | patterns_of(q, 4)
-                  for q in itertools.permutations(range(1, n + 1))}
         for pats in sets:
-            avoiders = [q for q, found in occurs.items() if found.isdisjoint(pats)]
-            assert list(engine.enumerate_avoiders(n, pats)) == avoiders, (pats, n)
-
-
-@functools.lru_cache(maxsize=None)
-def _s4_brute(max_n):
-    """{(n, pats): (avoiders, inv poly, maj/des poly)} for every S4 singleton
-    and S4 pair at n <= max_n, from one scan of S_n per length."""
-    want = {}
-    for n in range(max_n + 1):
-        scan = {q: patterns_of(q, 4) for q in itertools.permutations(range(1, n + 1))}
-        avoid = {p: {q for q, found in scan.items() if p not in found} for p in S4}
-        inv = {q: inv_brute(q) for q in scan}
-        majdes = {q: (maj_brute(q), des_brute(q)) for q in scan}
-        for pats in [(p,) for p in S4] + list(itertools.combinations(S4, 2)):
-            avoiders = sorted(set.intersection(*(avoid[p] for p in pats)))
-            invs = Counter(map(inv.__getitem__, avoiders))
-            want[n, pats] = (avoiders, QPoly([invs[i] for i in range(math.comb(n, 2) + 1)]),
-                             QTPoly.from_counts(Counter(map(majdes.__getitem__, avoiders))))
-    return want
+            assert list(engine.enumerate_avoiders(n, pats)) == scan_avoiders(n, pats), (pats, n)
 
 
 def _query(n, pats):
@@ -102,7 +81,8 @@ def _query(n, pats):
 def test_copy_tables_do_not_depend_on_query_order():
     # the pattern tables outlive a query, so a set must get the same answer
     # whether its tables start empty or were filled by other sets first
-    want = _s4_brute(7)
+    pattern_sets = [(p,) for p in S4] + list(itertools.combinations(S4, 2))
+    want = {(n, pats): brute_profile(n, pats) for n in range(8) for pats in pattern_sets}
     keys = list(want)
     for key in keys:
         engine._copy_tables.cache_clear()
@@ -110,6 +90,17 @@ def test_copy_tables_do_not_depend_on_query_order():
     random.Random(10).shuffle(keys)
     for key in keys:
         assert _query(*key) == want[key], key
+
+
+def test_scan_from_deletions_equals_the_raw_scan():
+    assert scan(6) == raw_scan(6)
+
+
+def test_s4_profiles_match_the_scan_at_8():
+    for pats in [(p,) for p in S4] + list(itertools.combinations(S4, 2)):
+        prof = engine.profile(8, pats)
+        avoiders, inv, majdes = brute_profile(8, pats)
+        assert (prof.count, prof.inv_poly, prof.majdes_poly) == (len(avoiders), inv, majdes), pats
 
 
 def test_nearest_entries_decide_whether_a_copy_extends():
@@ -248,14 +239,14 @@ def test_cancelled_profile_keeps_only_complete_moves():
             for (held, m), row in engine._copy_tables(p).moves.items():
                 assert len(row) == m
                 assert list(row) == [_step_copies(p, held, r, m) for r in range(m)]
-        assert _query(7, pats) == _s4_brute(7)[7, pats]
+        assert _query(7, pats) == brute_profile(7, pats)
 
 
 def test_full_tables_are_emptied_and_refilled(monkeypatch):
     monkeypatch.setattr(engine, "_COPY_ROWS_MAX", 4)
     engine._copy_tables.cache_clear()
     for pats in [((1, 3, 2, 4),), ((1, 3, 2, 4), (2, 4, 1, 3)), ((1, 2, 3, 4), (4, 3, 2, 1))]:
-        assert _query(7, pats) == _s4_brute(7)[7, pats]
+        assert _query(7, pats) == brute_profile(7, pats)
         assert all(len(engine._copy_tables(p).moves) <= 4 for p in S4)
     engine._copy_tables.cache_clear()
 
@@ -358,19 +349,6 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
             assert out == sorted(set(out))
 
 
-@functools.lru_cache(maxsize=None)
-def _patterns4(n):
-    """{q: the length-4 patterns in q} for each q in S_n; past n = 5 each
-    4-subset of q misses one of its first five entries, so the patterns of
-    q are those of its deletions of those entries."""
-    if n <= 5:
-        return {q: frozenset(patterns_of(q, 4)) for q in itertools.permutations(range(1, n + 1))}
-    below = _patterns4(n - 1)
-    return {q: frozenset().union(*[below[tuple(x - (x > v) for x in q[:j] + q[j + 1:])]
-                                   for j, v in enumerate(q[:5])])
-            for q in itertools.permutations(range(1, n + 1))}
-
-
 def test_enumeration_matches_brute_filters_across_table_depths():
     # tables have min(6, max(4, n - 3)) values free: n = 7, 8, 9 build them
     # at 4, 5 and 6, each from rank codes of the states below
@@ -381,7 +359,7 @@ def test_enumeration_matches_brute_filters_across_table_depths():
             assert all(a < b for a, b in zip(out, out[1:])), (pats, n)
     for pats in [(p,) for p in S4] + list(itertools.combinations(S4, 2))[::7]:
         out = list(engine.enumerate_avoiders(8, pats))
-        assert out == [q for q, found in _patterns4(8).items() if found.isdisjoint(pats)], pats
+        assert out == scan_avoiders(8, pats), pats
         assert all(a < b for a, b in zip(out, out[1:])), pats
 
 
@@ -395,7 +373,7 @@ def test_enumeration_of_prev_free_states_matches_brute_filters():
 
     for n in range(9):
         for p in S4:
-            check((p,), n, [q for q, found in _patterns4(n).items() if p not in found])
+            check((p,), n, scan_avoiders(n, (p,)))
     cases = [((p,), 8) for p in sorted(perms.all_perms(5))[::10]]
     cases += [(pats, 7) for pats in list(itertools.combinations(S4, 2))[::7]]
     cases += [(pats, 7) for pats in list(itertools.product(S3, S4))[::5]]
@@ -442,24 +420,10 @@ def test_profiles_are_built_and_moved_in_term_order():
                 assert prof.moved(n, tag).majdes_poly.terms == want.terms, (pats, n, tag)
 
 
-def _tally(n, avoiders, inv, maj, des):
-    """The inv polynomial and the maj/des polynomial of a list of permutations."""
-    inv_counts = [0] * (math.comb(n, 2) + 1)
-    md_counts = Counter()
-    for p in avoiders:
-        inv_counts[inv(p)] += 1
-        md_counts[(maj(p), des(p))] += 1
-    return QPoly(inv_counts), QTPoly.from_counts(md_counts)
-
-
-def _check_profile(n, pats, avoiders, inv, maj, des):
+def _check_profile(n, pats, avoiders):
     prof = engine.profile(n, pats)
     assert prof.count == len(avoiders), (pats, n)
-    assert (prof.inv_poly, prof.majdes_poly) == _tally(n, avoiders, inv, maj, des), (pats, n)
-
-
-def _brute_profile(n, pats):
-    _check_profile(n, pats, brute_avoiders(n, pats), inv_brute, maj_brute, des_brute)
+    assert (prof.inv_poly, prof.majdes_poly) == tally(avoiders), (pats, n)
 
 
 _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)).map(tuple))
@@ -474,27 +438,26 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)).
 @example(((2, 3, 1), (2, 4, 1, 3), (3, 1, 4, 2)))
 def _drawn_sets_match_brute_force(pats):
     for n in range(7):
-        _brute_profile(n, pats)
+        _check_profile(n, pats, brute_avoiders(n, pats))
 
 
 def test_profile_statistics_match_independent_implementations():
     # the empty pattern and a length-1 pattern, alone and beside others
     for pats in [((),), ((1,),), ((1,), (1, 2)), ((), (1, 2, 3))]:
         for n in range(7):
-            _brute_profile(n, pats)
+            _check_profile(n, pats, brute_avoiders(n, pats))
     _drawn_sets_match_brute_force()
     # beyond the brute filter's reach, enumeration shares the DP's rules, so
     # this checks the DP's bookkeeping: slot packing, the descent shift and,
     # for a set run in its reverse-complement orientation or served from a
     # cached mate, the moves of perms.STAT_MOVES; the empty set stops at
-    # n = 7, since S_9 through perms alone would take most of the time
-    # (S4 singletons are checked against brute force to n = 7 in
-    # test_copy_tables_do_not_depend_on_query_order)
+    # n = 7, since the statistics of S_9 would take most of the time (S4
+    # singletons and pairs meet brute force at n = 8 in
+    # test_s4_profiles_match_the_scan_at_8)
     pattern_sets = [s for r in range(7) for s in itertools.combinations(S3, r)]
     for pats in pattern_sets:
         for n in range(10 if pats else 8):
-            _check_profile(n, pats, list(engine.enumerate_avoiders(n, pats)),
-                           perms.inv, perms.maj, perms.des)
+            _check_profile(n, pats, list(engine.enumerate_avoiders(n, pats)))
 
 
 def test_count_examples():
@@ -530,6 +493,8 @@ def test_stat_multiset():
     assert engine.stat_multiset(pats, "inv") == (0, 1, 1, 2, 3)
     assert engine.stat_multiset(pats, "maj") == (0, 1, 2, 2, 3)
     assert engine.stat_multiset((), "inv") == ()
+    with pytest.raises(ValueError, match="unknown statistic 'foo'"):
+        engine.stat_multiset([(1, 2)], "foo")
 
 
 def test_patterns_canonicalized():
@@ -700,22 +665,6 @@ def _forget_orbit(n, pats):
         engine._profile_cache.pop((n, _image(tag, pats)), None)
 
 
-@functools.lru_cache(maxsize=None)
-def _brute_scan(n):
-    """(patterns of lengths 3 and 4 in q, inv, (maj, des)) for each q in S_n."""
-    return [(patterns_of(q, 3) | patterns_of(q, 4), inv_brute(q), (maj_brute(q), des_brute(q)))
-            for q in itertools.permutations(range(1, n + 1))]
-
-
-def _brute_polys(n, pats):
-    invs, majdes = Counter(), Counter()
-    for found, inv, md in _brute_scan(n):
-        if found.isdisjoint(pats):
-            invs[inv] += 1
-            majdes[md] += 1
-    return QPoly([invs[i] for i in range(math.comb(n, 2) + 1)]), QTPoly.from_counts(majdes)
-
-
 def test_orbit_mates_are_served_by_the_statistic_moves():
     # each image of a cached set under reversal, complement and
     # reverse-complement is served from it by that symmetry's own entry of
@@ -735,7 +684,7 @@ def test_orbit_mates_are_served_by_the_statistic_moves():
                 served = engine.profile(n, image)
                 assert served == engine._dp_profile(n, image, None), (pats, image, n)
                 if n <= 7:
-                    assert (served.inv_poly, served.majdes_poly) == _brute_polys(n, image), (
+                    assert (served.inv_poly, served.majdes_poly) == brute_profile(n, image)[1:], (
                         pats, image, n)
 
 

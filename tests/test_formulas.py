@@ -6,25 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_avoiders, des_brute, inv_brute, maj_brute
+from conftest import brute_profile
 from patstat import cli, formulas, perms
 from patstat.engine import SearchCancelled
 from patstat.polynomials import QPoly, QTPoly, TruncatedSeries, pochhammer
-
-
-def _inv_poly_brute(n, pats):
-    counts = {}
-    for p in brute_avoiders(n, pats):
-        counts[inv_brute(p)] = counts.get(inv_brute(p), 0) + 1
-    return QPoly([counts.get(i, 0) for i in range(max(counts, default=-1) + 1)])
-
-
-def _majdes_poly_brute(n, pats):
-    counts = {}
-    for p in brute_avoiders(n, pats):
-        key = (maj_brute(p), des_brute(p))
-        counts[key] = counts.get(key, 0) + 1
-    return QTPoly.from_counts(counts)
 
 
 def test_catalan_values_and_recursion():
@@ -66,10 +51,10 @@ def test_both_catalan_recursions_agree():
 
 def test_recursions_against_brute_force():
     for n in range(8):
-        assert formulas.ct_poly(n) == _inv_poly_brute(n, [(3, 1, 2)])
-        assert formulas.c_poly(n) == _inv_poly_brute(n, [(1, 3, 2)])
-        assert formulas.i321_conjectured(n) == _inv_poly_brute(n, [(3, 2, 1)])
-        assert formulas.m312_recursive(n) == _majdes_poly_brute(n, [(3, 1, 2)])
+        assert formulas.ct_poly(n) == brute_profile(n, [(3, 1, 2)])[1]
+        assert formulas.c_poly(n) == brute_profile(n, [(1, 3, 2)])[1]
+        assert formulas.i321_conjectured(n) == brute_profile(n, [(3, 2, 1)])[1]
+        assert formulas.m312_recursive(n) == brute_profile(n, [(3, 1, 2)])[2]
 
 
 def test_i321_small_values():
@@ -83,13 +68,13 @@ def test_m312_small_values():
 
 
 def test_parity_profile():
-    p13 = _inv_poly_brute(3, [(3, 2, 1)])  # 1 + 2q + 2q^2
+    p13 = brute_profile(3, [(3, 2, 1)])[1]  # 1 + 2q + 2q^2
     prof = formulas.parity_profile(p13)
     assert prof.constant == 1 and prof.holds and prof.odd_exponents == ()
-    p7 = _inv_poly_brute(7, [(3, 2, 1)])
+    p7 = brute_profile(7, [(3, 2, 1)])[1]
     assert p7.eval_at_q1() == 429
     assert formulas.parity_profile(p7).holds
-    p2 = _inv_poly_brute(2, [(3, 2, 1)])  # 1 + q: fails as expected
+    p2 = brute_profile(2, [(3, 2, 1)])[1]  # 1 + q: fails as expected
     prof2 = formulas.parity_profile(p2)
     assert not prof2.holds and prof2.odd_exponents == (1,)
 
@@ -127,9 +112,9 @@ def test_closed_forms_against_brute_force_small():
         for pats in entry.pattern_sets:
             for n in range(7):
                 if entry.kind == "q":
-                    assert formulas.closed_form(fid, n) == _inv_poly_brute(n, pats), (fid, n)
+                    assert formulas.closed_form(fid, n) == brute_profile(n, pats)[1], (fid, n)
                 else:
-                    assert formulas.closed_form(fid, n) == _majdes_poly_brute(n, pats), (fid, n)
+                    assert formulas.closed_form(fid, n) == brute_profile(n, pats)[2], (fid, n)
 
 
 def test_quotient_elimination_inv_132_321():
@@ -174,7 +159,7 @@ def test_series_against_brute_force_small():
     for sid, pats in targets.items():
         s = formulas.series_expand(sid, 7)
         for n in range(8):
-            assert s[n] == _majdes_poly_brute(n, pats), (sid, n)
+            assert s[n] == brute_profile(n, pats)[2], (sid, n)
 
 
 def test_series_counts_at_q_t_one():
