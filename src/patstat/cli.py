@@ -76,14 +76,32 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="abort cleanly after this many seconds")
 
 
+class _Command(argparse.ArgumentParser):
+    """One command's parser.  It also keeps the Action of each option declared
+    on it: all of them in order in `declared`, and in `plain`, by option
+    string, those a one-pass parse can read (a store of one value or a
+    store_true flag)."""
+
+    def __init__(self, **kwargs):
+        self.declared, self.plain = [], {}
+        super().__init__(**kwargs)  # declares -h/--help through add_argument
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.declared.append(action)
+        if kwargs.get("action", "store") in ("store", "store_true") and "nargs" not in kwargs:
+            self.plain.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and shared by every main() call."""
+def _grammar() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The command line parser and, by command name, each command's parser."""
     parser = argparse.ArgumentParser(
         prog="patstat",
         description="Statistic generating polynomials over pattern-avoiding permutations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p = sub.add_parser("enumerate", help="list an avoidance set in lexicographic order")
     p.add_argument("--n", type=int, required=True)
@@ -148,7 +166,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=8)
     _add_common(p)
 
-    return parser
+    return parser, sub.choices  # the subcommands action's choices map names to parsers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every main() call."""
+    return _grammar()[0]
+
+
+_REFUSED = object()
+
+
+def _value(action: argparse.Action, text: str):
+    """text as parse_args stores it for action, or _REFUSED where parse_args
+    would read it otherwise or stop with a usage error."""
+    if text.startswith("-"):
+        return _REFUSED
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return _REFUSED
+    return value if action.choices is None or value in action.choices else _REFUSED
+
+
+def _parse_plain(argv) -> Optional[argparse.Namespace]:
+    """argv parsed in one pass over its command's declared options, or None
+    when argv is not plain.  A plain line is a command name, then options of
+    that command spelled out in full, each at most once: a flag alone, any
+    other option followed by a value that does not start with "-" and that
+    its type and choices accept; and every required option is there.  The
+    namespace is the one parse_args returns; every other line (help,
+    --opt=value, abbreviations, repeats, values that start with "-", any
+    usage error) is left to parse_args, which prints all help and errors."""
+    command = _grammar()[1].get(argv[0]) if argv else None
+    if command is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = command.plain.get(token)
+        if action is None or action in given:
+            return None
+        given[action] = action.const if action.nargs == 0 else _value(action, next(tokens, "-"))
+        if given[action] is _REFUSED:
+            return None
+    values = {"command": argv[0]}
+    for action in command.declared:
+        if action in given:
+            values[action.dest] = given[action]
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            # parse_args passes a string default through the option's type
+            default = action.default
+            values[action.dest] = _value(action, default) if isinstance(default, str) else default
+            if values[action.dest] is _REFUSED:
+                return None
+    return argparse.Namespace(**values)
 
 
 def _cmd_enumerate(args) -> int:
@@ -297,7 +371,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # so that a reader gone away shows here, not at exit

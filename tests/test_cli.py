@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patstat import cli, engine, formulas, words
 from patstat.perms import format_perm
@@ -481,3 +483,54 @@ def test_one_process_runs_many_commands(capsys, monkeypatch):
                                capture_output=True, text=True)
         assert (got, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
         assert got == code, argv
+
+
+_BAD_VALUES = ("-1", "nan", "-inf", "x", "1x2", "", " 4", "--", "-h", "--format")
+
+
+def _good_values(action):
+    if action.choices is not None:
+        return tuple(action.choices)
+    return {int: ("0", "3", "12"), cli._seconds: ("0", "2.5", "inf")}.get(
+        action.type, ("132", "132,213", "0110", "231-321", ""))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line: mostly a command's own options in some order, each
+    with a value that its type and choices mostly accept, and a few hostile
+    tokens put anywhere."""
+    commands = cli._grammar()[1]
+    name = draw(st.sampled_from([*commands, "bogus", "-h", "--help", "--"]))
+    if draw(st.integers(0, 19)) == 0:
+        return []
+    argv = [name]
+    options = [a for a in commands[name].declared if a.dest != "help"] if name in commands else []
+    for action in draw(st.permutations(options)):
+        if draw(st.integers(0, 9)) == 0:
+            continue  # left out, required or not
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            pool = _BAD_VALUES if draw(st.integers(0, 5)) == 0 else _good_values(action)
+            argv.append(draw(st.sampled_from(pool)))
+    spelled = sorted({s for a in options for s in a.option_strings})
+    hostile = ["--", "-h", "--help", "extra", "poly", "--lim", "--limit-seconds", "nan",
+               *spelled, *(s + "=3" for s in spelled), *(s[:-1] for s in spelled)]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(hostile)))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_command_lines())
+@example([])
+@example(["count", "--n", "5", "--limit-seconds", "nan"])
+@example(["count", "--n", "-1"])
+@example(["count", "--n", "5", "--n", "6"])
+@example(["poly", "--stat", "inv", "--n", "4", "--avoid=132"])
+@example(["poly", "--stat", "inv", "--n", "4", "--", "--avoid", "132"])
+@example(["foata", "--word", "0110", "--inverse", "extra"])
+def test_the_one_pass_parse_declines_or_agrees_with_argparse(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv)), argv

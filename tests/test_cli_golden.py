@@ -7,6 +7,7 @@ whatever `--format` says.  The expected bytes are written out below, so a
 change to how any command renders its result shows here.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -347,6 +348,21 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, code, out, err", GOLDEN, ids=[case[0] for case in GOLDEN])
 def test_command_output_is_byte_identical(argv, code, out, err, capsys):
+    try:
+        got = cli.main(argv.split())
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_plain_lines_are_parsed_without_argparse(argv, code, out, err, capsys, monkeypatch):
+    # every golden line is plain, so an option the one-pass parse cannot
+    # read fails here in place of sending each line back to argparse
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"argparse parsed {argv!r}")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     try:
         got = cli.main(argv.split())
     except SystemExit as exc:

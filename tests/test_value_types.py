@@ -35,7 +35,13 @@ def samples():
     }
 
 
-NAMES = list(samples())
+# written out, so that a fault in building a value fails the tests that use
+# it in place of the collection of this file
+NAMES = ("QPoly", "QTPoly", "TruncatedSeries", "Profile", "EquivalenceReport", "CheckResult")
+
+
+def test_names_are_the_samples():
+    assert NAMES == tuple(samples())
 
 
 @pytest.mark.parametrize("name", NAMES)
