@@ -21,7 +21,9 @@ come from a table, per state, of the orders that complete it, built from
 the completions of its children as rank codes (see _getter).  Profiles
 (the inv polynomial and the joint maj/des polynomial) run the same rules
 level by level, carrying one polynomial pair per state and previous cut
-rather than visiting the avoiders one by one (see _dp_profile).
+rather than visiting the avoiders one by one (see _dp_profile).  Profiles
+are kept in one least-recently-used cache by exact key, and so are the maj
+polynomials read from them, so a repeated query is one lookup (see _cached).
 """
 
 from __future__ import annotations
@@ -463,22 +465,42 @@ def _unpack(packed: int, slot_bytes: int, slots: int) -> list[int]:
 
 
 _PROFILE_CACHE_SIZE = 8192
-_profile_cache: dict[tuple[int, tuple[Perm, ...]], Profile] = {}
+# (n, patterns) -> its Profile, and (n, patterns, "maj") -> its maj polynomial
+_profile_cache: dict[tuple, Profile | QPoly] = {}
+
+
+def _cached(key: tuple, make: Callable, *args):
+    """Least-recently-used lookup in _profile_cache, by exact key: a miss
+    stores make(*args).  A make that raises (a cancelled call) stores nothing."""
+    value = _profile_cache.pop(key, None)
+    if value is None:
+        value = make(*args)
+        if len(_profile_cache) >= _PROFILE_CACHE_SIZE:
+            del _profile_cache[next(iter(_profile_cache))]
+    # (re)inserted last, so the dict's order is the order of use
+    _profile_cache[key] = value
+    return value
 
 
 def _profile(n: int, patterns: tuple[Perm, ...],
              should_stop: Optional[Callable[[], bool]] = None) -> Profile:
-    """Least-recently-used cache of profiles, by exact key; see _uncached
-    for a miss.  A cancelled call stores nothing."""
-    key = (n, patterns)
-    prof = _profile_cache.pop(key, None)
-    if prof is None:
-        prof = _uncached(n, patterns, should_stop)
-        if len(_profile_cache) >= _PROFILE_CACHE_SIZE:
-            del _profile_cache[next(iter(_profile_cache))]
-    # (re)inserted last, so the dict's order is the order of use
-    _profile_cache[key] = prof
-    return prof
+    """The cached profile of a canonical key; see _uncached for a miss."""
+    return _cached((n, patterns), _uncached, n, patterns, should_stop)
+
+
+def _maj_poly(n: int, patterns: tuple[Perm, ...],
+              should_stop: Optional[Callable[[], bool]]) -> QPoly:
+    return _profile(n, patterns, should_stop).majdes_poly.specialize_t1()
+
+
+def _stat_poly(n: int, patterns: tuple[Perm, ...], stat: str,
+               should_stop: Optional[Callable[[], bool]]) -> QPoly:
+    """stat_poly of a canonical key and a known statistic.  The maj
+    polynomial is an entry of its own in the profile cache, so a repeated
+    query does not sum the maj/des terms again."""
+    if stat == "inv":
+        return _profile(n, patterns, should_stop).inv_poly
+    return _cached((n, patterns, "maj"), _maj_poly, n, patterns, should_stop)
 
 
 def _uncached(n: int, patterns: tuple[Perm, ...],
@@ -522,8 +544,9 @@ def stat_poly(n: int, patterns: Iterable[Sequence[int]], stat: str,
     """Generating polynomial sum of q^stat over the avoidance set."""
     if stat not in ("inv", "maj"):
         raise ValueError(f"unknown statistic {stat!r}; expected 'inv' or 'maj'")
-    prof = profile(n, patterns, should_stop=should_stop)
-    return prof.inv_poly if stat == "inv" else prof.majdes_poly.specialize_t1()
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    return _stat_poly(n, canonical_patterns(patterns), stat, should_stop)
 
 
 def maj_des_poly(n: int, patterns: Iterable[Sequence[int]],
@@ -573,9 +596,10 @@ _CLASSIFY_STATS = ("inv", "maj", "maj-des")
 
 def _signature(n_max: int, patterns: tuple[Perm, ...], stat: str,
                should_stop: Optional[Callable[[], bool]]):
+    # patterns is a subset as combinations yields it from S_k: already canonical
     if stat == "maj-des":
-        return tuple(maj_des_poly(n, patterns, should_stop=should_stop) for n in range(n_max + 1))
-    return tuple(stat_poly(n, patterns, stat, should_stop=should_stop) for n in range(n_max + 1))
+        return tuple(_profile(n, patterns, should_stop).majdes_poly for n in range(n_max + 1))
+    return tuple(_stat_poly(n, patterns, stat, should_stop) for n in range(n_max + 1))
 
 
 def classify(

@@ -10,6 +10,9 @@ No polynomial in q is ever divided by another: the two formulas that are
 naturally stated as quotients are implemented through their geometric-sum expansions
 ((q^(k(n-k+1)) - q^k)/(q^k - 1) as sum_{j=1..n-k} q^(jk), and
 (n - [n]_q)/(1 - q) as sum_{i=1..n-1} [i]_q).
+
+series_expand keeps the largest expansion it has made of each series id,
+so a lower order is read off it (see _series_cache).
 """
 
 from __future__ import annotations
@@ -272,6 +275,10 @@ _NEW_FACTORS: dict[str, Callable[[int], tuple[int, ...]]] = {
 SERIES_IDS = tuple(_NEW_FACTORS)
 
 
+# the largest expansion made so far of each series id, in this process
+_series_cache: dict[str, TruncatedSeries] = {}
+
+
 def series_expand(series_id: str, order: int,
                   should_stop: Optional[Callable[[], bool]] = None) -> TruncatedSeries:
     """Truncated expansion of one of the three word generating functions.
@@ -285,6 +292,11 @@ def series_expand(series_id: str, order: int,
     each coefficient of the result is built once.  should_stop is polled
     before each summand.
 
+    No coefficient depends on the order it is truncated at, so the largest
+    expansion made of each id is kept and a lower order is its prefix; such
+    a call polls should_stop once.  A cancelled or overflowing expansion
+    keeps nothing.
+
     >>> print(series_expand("gf-231-312-321", 4)[4])
     1 + q*t + q^2*t + q^3*t + q^4*t^2
     """
@@ -292,6 +304,11 @@ def series_expand(series_id: str, order: int,
         raise ValueError("order must be nonnegative")
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
+    known = _series_cache.get(series_id)
+    if known is not None and known.order >= order:
+        if should_stop is not None and should_stop():
+            raise SearchCancelled("series expansion stopped")
+        return known if known.order == order else TruncatedSeries(order, known.coeffs)
     counts: list[dict[tuple[int, int], int]] = [{} for _ in range(order + 1)]
     inverse: list[list[int]] = [[1]] + [[] for _ in range(order)]  # 1/D_(k-1)
     for k in range(order // 2 + 1):
@@ -306,4 +323,6 @@ def series_expand(series_id: str, order: int,
         for i, c in enumerate(inverse, 2 * k):
             _check_all(c)
             counts[i].update(((qe + k * k, k), v) for qe, v in enumerate(c) if v)
-    return TruncatedSeries(order, tuple(QTPoly.from_counts(c) for c in counts))
+    out = _series_cache[series_id] = TruncatedSeries(
+        order, tuple(QTPoly.from_counts(c) for c in counts))
+    return out

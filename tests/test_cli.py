@@ -1,4 +1,3 @@
-import argparse
 import itertools
 import json
 import re
@@ -149,9 +148,7 @@ def test_bijection_commands(capsys):
 
 
 def test_bijection_names_are_the_table():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    name = next(a for a in commands.choices["bijection"]._actions if a.dest == "name")
+    name = cli._grammar()[1]["bijection"].plain["--name"]
     assert tuple(name.choices) == tuple(words.BIJECTIONS)
     for key, bij in words.BIJECTIONS.items():
         if bij.words:

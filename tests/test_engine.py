@@ -488,6 +488,59 @@ def test_stat_poly_checks_the_statistic_before_the_search():
     assert (9, pats) not in engine._profile_cache
 
 
+def test_the_maj_polynomial_is_kept_with_the_profiles(monkeypatch):
+    # cold, warm, with its profile evicted, and with only its profile kept
+    cache = {}
+    monkeypatch.setattr(engine, "_profile_cache", cache)
+    keys = [(n, pats) for pats in itertools.chain.from_iterable(
+        itertools.combinations(S3, r) for r in range(7)) for n in range(9)]
+    keys += [(n, (p,)) for p in S4 for n in range(8)]
+    for n, pats in keys:
+        cache.clear()
+        given = pats[::-1]  # not canonical
+        cold = engine.stat_poly(n, given, "maj")
+        assert engine.stat_poly(n, given, "maj") is cold
+        del cache[n, pats]
+        assert engine.stat_poly(n, given, "maj") is cold
+        want = engine.maj_des_poly(n, pats).specialize_t1()
+        assert cold == want, (n, pats)
+        del cache[n, pats, "maj"]
+        assert engine.stat_poly(n, given, "maj") == want
+
+
+def test_a_cleared_cache_recomputes_the_maj_polynomial(monkeypatch):
+    pats = ((1, 3, 2, 4),)
+    want = engine.stat_poly(8, pats, "maj")
+    assert (8, pats, "maj") in engine._profile_cache
+    runs = _count_dp_runs(monkeypatch)
+    engine._profile_cache.clear()
+    assert engine.stat_poly(8, pats, "maj") == want
+    assert runs == {8: 1}
+    monkeypatch.setattr(engine, "_profile_cache", {})
+    assert engine.stat_poly(8, pats, "maj") == want
+    assert runs == {8: 2}
+
+
+def test_maj_polynomials_count_toward_the_cache_bound(monkeypatch):
+    size = engine._PROFILE_CACHE_SIZE
+    filler = engine.Profile(QPoly.one(), QTPoly.one())
+    cache = {(-1 - i, ()): filler for i in range(size - 2)}
+    monkeypatch.setattr(engine, "_profile_cache", cache)
+    pats, mate = ((1, 3, 2),), ((2, 3, 1),)
+    maj = engine.stat_poly(6, pats, "maj")
+    assert len(cache) == size
+    assert list(cache)[-2:] == [(6, pats), (6, pats, "maj")]
+    # the reversal's profile and maj polynomial push out the two oldest entries
+    engine.stat_poly(6, mate, "maj")
+    assert len(cache) == size
+    assert (-1, ()) not in cache and (-2, ()) not in cache and (-3, ()) in cache
+    assert list(cache)[-2:] == [(6, mate), (6, mate, "maj")]
+    # a hit is the most recently used entry
+    assert engine.stat_poly(6, pats, "maj") is maj
+    assert list(cache)[-1] == (6, pats, "maj")
+    assert len(cache) == size
+
+
 def test_stat_multiset():
     pats = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1))
     assert engine.stat_multiset(pats, "inv") == (0, 1, 1, 2, 3)

@@ -171,6 +171,18 @@ def test_series_counts_at_q_t_one():
         assert s[n].eval_at(1, 1) == formulas.fibonacci(n)
 
 
+@pytest.fixture
+def expand_uncached():
+    """series_expand after emptying the series cache, so each call expands
+    its order in full, not as the prefix of a larger one kept before."""
+    def expand(series_id, order, should_stop=None):
+        formulas._series_cache.clear()
+        return formulas.series_expand(series_id, order, should_stop)
+
+    yield expand
+    formulas._series_cache.clear()
+
+
 def _series_reference(series_id, order):
     """The sum over k of q^(k^2) t^k x^(2k) / D_k, with each D_k built from
     q-shifted factorials and inverted whole."""
@@ -186,10 +198,10 @@ def _series_reference(series_id, order):
 
 
 @pytest.mark.parametrize("sid", formulas.SERIES_IDS)
-def test_series_matches_inverted_pochhammer_products(sid):
+def test_series_matches_inverted_pochhammer_products(sid, expand_uncached):
     reference = _series_reference(sid, 16)
     for order in range(17):
-        got = formulas.series_expand(sid, order)
+        got = expand_uncached(sid, order)
         assert got.order == order
         # a coefficient does not depend on the order it is truncated at
         assert [c.terms for c in got.coeffs] == [c.terms for c in reference.coeffs[: order + 1]]
@@ -219,12 +231,45 @@ def test_series_overflow_at_order_74(sid, coeff):
         formulas.series_expand(sid, 74)
 
 
-def test_series_expansion_stops_on_request():
+def test_series_expansion_stops_on_request(expand_uncached):
+    with pytest.raises(SearchCancelled):
+        expand_uncached("gf-231-321", 10, should_stop=lambda: True)
+    polls = []
+    expand_uncached("gf-312-321", 10, should_stop=lambda: polls.append(1) and False)
+    assert len(polls) == 6  # once per summand, k = 0..5
+
+
+def test_a_series_cache_hit_is_the_uncached_expansion(expand_uncached):
+    for sid in formulas.SERIES_IDS:
+        want = [expand_uncached(sid, order) for order in range(21)]
+        # the order-20 expansion is kept, and every lower order is its prefix
+        assert [formulas.series_expand(sid, order) for order in range(21)] == want
+        assert formulas._series_cache == {sid: want[-1]}
+        assert formulas._series_cache[sid] is want[-1]
+
+
+def test_a_series_cache_hit_polls_once(expand_uncached):
+    expand_uncached("gf-312-321", 10)
+    with pytest.raises(SearchCancelled):
+        formulas.series_expand("gf-312-321", 8, should_stop=lambda: True)
+    polls = []
+    hit = formulas.series_expand("gf-312-321", 8, should_stop=lambda: polls.append(1) and False)
+    assert len(polls) == 1
+    assert hit == expand_uncached("gf-312-321", 8)
+    # a cancelled expansion keeps nothing
+    formulas._series_cache.clear()
     with pytest.raises(SearchCancelled):
         formulas.series_expand("gf-231-321", 10, should_stop=lambda: True)
-    polls = []
-    formulas.series_expand("gf-312-321", 10, should_stop=lambda: polls.append(1) and False)
-    assert len(polls) == 6  # once per summand, k = 0..5
+    assert formulas._series_cache == {}
+
+
+def test_an_overflowing_series_leaves_the_cache_alone(expand_uncached):
+    before = {sid: expand_uncached(sid, 12) for sid in formulas.SERIES_IDS}
+    formulas._series_cache.update(before)
+    with pytest.raises(OverflowError):
+        formulas.series_expand("gf-231-321", 74)
+    assert formulas._series_cache == before
+    assert all(formulas._series_cache[sid] is s for sid, s in before.items())
 
 
 # SHA-1 digests of the formula layer's output: a rewrite of the closed forms
@@ -247,12 +292,12 @@ def formula_command_digest():
     return digest.hexdigest()
 
 
-def series_json_digest():
-    """Every series' expansion at orders 0..30, as json."""
+def series_json_digest(expand):
+    """Every series' expansion at orders 0..30 by expand, as json."""
     digest = hashlib.sha1()
     for sid in formulas.SERIES_IDS:
         for order in range(31):
-            digest.update(json.dumps(formulas.series_expand(sid, order).to_json()).encode())
+            digest.update(json.dumps(expand(sid, order).to_json()).encode())
             digest.update(b"\n")
     return digest.hexdigest()
 
@@ -261,5 +306,5 @@ def test_formula_command_output_is_pinned():
     assert formula_command_digest() == FORMULA_COMMAND_DIGEST
 
 
-def test_series_expansions_are_pinned():
-    assert series_json_digest() == SERIES_JSON_DIGEST
+def test_series_expansions_are_pinned(expand_uncached):
+    assert series_json_digest(expand_uncached) == SERIES_JSON_DIGEST
